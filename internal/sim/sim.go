@@ -1,11 +1,22 @@
 // Package sim implements the discrete-event simulation engine that drives
-// the message-passing simulator. It provides a virtual clock, a binary-heap
-// event queue with deterministic tie-breaking, and an Engine loop.
+// the message-passing simulator. It provides a virtual clock, an event
+// queue with deterministic tie-breaking, and an Engine loop.
 //
 // Determinism matters here: two events scheduled for the same virtual time
 // must always execute in the same order, or otherwise identical runs could
 // produce different message-matching orders and different timelines. Ties
 // are broken by insertion sequence number (FIFO among equal-time events).
+//
+// # Queue layout
+//
+// The queue is a 4-ary implicit heap of (time, sequence, *Event) values,
+// sifted by moving a hole rather than by swapping. Large simulations keep
+// hundreds of thousands of events pending, so a heap of bare pointers
+// would dereference two cold Events per comparison; with the keys inline
+// a sift touches only the heap array, and the wider fan-out halves its
+// depth, with the four children sharing one or two cache lines. The array
+// grows by doubling: an outgrown array stays live until the next GC cycle,
+// and append's gentler growth for large slices would leave several of them.
 //
 // # Allocation discipline
 //
@@ -64,13 +75,22 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // handle when the event fires, which is the natural shape anyway.
 type Event struct {
 	at     Time
-	seq    uint64
 	fn     func()    // closure form (Schedule)
 	callFn func(any) // typed-callback form (ScheduleCall)
 	arg    any
 	dead   bool
-	pos    int // index within the heap, for O(log n) cancellation
 }
+
+// entry is one heap slot: the event's ordering key, inline, so sifts
+// compare without dereferencing the event.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+// arity is the heap's fan-out.
+const arity = 4
 
 // At returns the event's scheduled virtual time.
 func (e *Event) At() Time { return e.at }
@@ -91,7 +111,7 @@ func (e *Event) run() {
 // free list. The zero value is ready to use.
 type Engine struct {
 	now      Time
-	heap     []*Event
+	heap     []entry
 	free     []*Event
 	seq      uint64
 	executed uint64
@@ -163,9 +183,8 @@ func (e *Engine) schedule(at Time) *Event {
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	e.push(entry{at, e.seq, ev})
 	e.seq++
-	e.push(ev)
 	return ev
 }
 
@@ -197,8 +216,7 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.dead = true
 	// Leave it in the heap; the run loop discards dead events when popped
-	// and recycles them. Removing eagerly would also be possible via
-	// ev.pos, but lazily skipping is simpler and just as fast here.
+	// and recycles them.
 }
 
 // Run executes events in (time, insertion) order until the queue drains.
@@ -216,12 +234,8 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if top.at > limit {
-			break
-		}
-		e.pop()
+	for len(e.heap) > 0 && e.heap[0].at <= limit {
+		top := e.pop()
 		if top.dead {
 			e.recycle(top)
 			continue
@@ -246,12 +260,10 @@ func (e *Engine) RunUntil(limit Time) Time {
 // windows to compute safe lookahead horizons.
 func (e *Engine) NextEventTime() (Time, bool) {
 	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if !top.dead {
+		if top := e.heap[0]; !top.ev.dead {
 			return top.at, true
 		}
-		e.pop()
-		e.recycle(top)
+		e.recycle(e.pop())
 	}
 	return 0, false
 }
@@ -282,14 +294,15 @@ func (e *Engine) Step() bool {
 // typed callback and its argument; the caller is responsible for mapping
 // (fn, arg) pairs to a serializable identity.
 func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error) error {
-	live := make([]*Event, 0, len(e.heap))
-	for _, ev := range e.heap {
-		if !ev.dead {
-			live = append(live, ev)
+	live := make([]entry, 0, len(e.heap))
+	for _, x := range e.heap {
+		if !x.ev.dead {
+			live = append(live, x)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return less(live[i], live[j]) })
-	for _, ev := range live {
+	for _, x := range live {
+		ev := x.ev
 		if ev.callFn == nil {
 			return fmt.Errorf("sim: cannot snapshot closure-form event at t=%v", ev.at)
 		}
@@ -319,66 +332,60 @@ func (e *Engine) RestoreClock(now Time, executed uint64) error {
 	return nil
 }
 
-// less orders events by time, then by insertion sequence (FIFO).
-func less(a, b *Event) bool {
+// less orders entries by time, then by insertion sequence (FIFO).
+func less(a, b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(ev *Event) {
-	ev.pos = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.up(ev.pos)
-}
-
-func (e *Engine) pop() *Event {
-	top := e.heap[0]
-	last := len(e.heap) - 1
-	e.heap[0] = e.heap[last]
-	e.heap[0].pos = 0
-	e.heap[last] = nil // release the slot's reference for the pool
-	e.heap = e.heap[:last]
-	if last > 0 {
-		e.down(0)
+// push inserts x, moving the hole up from the new leaf until x fits.
+func (e *Engine) push(x entry) {
+	i := len(e.heap)
+	if i == cap(e.heap) {
+		grown := make([]entry, i, max(2*i, 64))
+		copy(grown, e.heap)
+		e.heap = grown
 	}
-	top.pos = -1
-	return top
-}
-
-func (e *Engine) up(i int) {
+	e.heap = e.heap[:i+1]
+	h := e.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(e.heap[i], e.heap[parent]) {
+		p := (i - 1) / arity
+		if !less(x, h[p]) {
 			break
 		}
-		e.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = x
 }
 
-func (e *Engine) down(i int) {
-	n := len(e.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && less(e.heap[l], e.heap[smallest]) {
-			smallest = l
+// pop removes the earliest entry, moving the hole down from the root
+// until the former last entry fits.
+func (e *Engine) pop() *Event {
+	h := e.heap
+	top, last := h[0].ev, len(h)-1
+	x := h[last]
+	h[last] = entry{} // release the slot's reference for the pool
+	h = h[:last]
+	e.heap = h
+	i := 0
+	for c := 1; c < last; c = arity*i + 1 {
+		m := c
+		for j := c + 1; j < min(c+arity, last); j++ {
+			if less(h[j], h[m]) {
+				m = j
+			}
 		}
-		if r < n && less(e.heap[r], e.heap[smallest]) {
-			smallest = r
+		if !less(h[m], x) {
+			break
 		}
-		if smallest == i {
-			return
-		}
-		e.swap(i, smallest)
-		i = smallest
+		h[i] = h[m]
+		i = m
 	}
-}
-
-func (e *Engine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.heap[i].pos = i
-	e.heap[j].pos = j
+	if last > 0 {
+		h[i] = x
+	}
+	return top
 }
