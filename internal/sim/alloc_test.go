@@ -98,12 +98,42 @@ func TestHeapGrowthBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		e.ScheduleCall(Time(i%1000), nopCall, nil)
+		e.ScheduleCall(Time(1+i%1000), nopCall, nil) // never at Now(): all go to the heap
 	}
 	runtime.ReadMemStats(&after)
 	final := uint64(len(e.heap)) * uint64(unsafe.Sizeof(entry{}))
 	if spent := after.TotalAlloc - before.TotalAlloc; spent > 3*final {
 		t.Errorf("growing the heap to %d events allocated %d bytes, want <= 3x the final %d", n, spent, final)
+	}
+}
+
+// TestLaneGrowthBytes pins the same growth policy for the same-time lane,
+// which a 10^5-rank chain fills with up to 2×10^5 entries: one handler
+// schedules n events at Now(), and the lane may spend at most 3x its final
+// array's bytes on the way.
+func TestLaneGrowthBytes(t *testing.T) {
+	const n = 1 << 18
+	e := Engine{free: make([]*Event, n+1)}
+	for i := range e.free {
+		e.free[i] = &Event{}
+	}
+	var spent, final uint64
+	e.ScheduleCall(1, func(any) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			e.ScheduleCall(e.Now(), nopCall, nil)
+		}
+		runtime.ReadMemStats(&after)
+		spent = after.TotalAlloc - before.TotalAlloc
+		final = uint64(len(e.lane)) * uint64(unsafe.Sizeof(entry{}))
+	}, nil)
+	e.Run()
+	if final != n*uint64(unsafe.Sizeof(entry{})) {
+		t.Fatalf("lane held %d bytes of entries, want all %d events in it", final, n)
+	}
+	if spent > 3*final {
+		t.Errorf("growing the lane to %d events allocated %d bytes, want <= 3x the final %d", n, spent, final)
 	}
 }
 

@@ -18,6 +18,10 @@
 // grows by doubling: an outgrown array stays live until the next GC cycle,
 // and append's gentler growth for large slices would leave several of them.
 //
+// Events scheduled at exactly Now() skip the heap through a FIFO lane. A
+// heap entry at Now() was scheduled before the clock got there, so it runs
+// before every lane entry; the clock advances only once the lane is empty.
+//
 // # Allocation discipline
 //
 // The engine is the innermost loop of every simulation, so it recycles
@@ -32,6 +36,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -107,11 +112,13 @@ func (e *Event) run() {
 	e.fn()
 }
 
-// Engine owns the virtual clock, the pending-event heap and the event
-// free list. The zero value is ready to use.
+// Engine owns the virtual clock, the pending-event heap, the same-time
+// lane and the event free list. The zero value is ready to use.
 type Engine struct {
 	now      Time
 	heap     []entry
+	lane     []entry // events at now, FIFO from laneHead; stale slots hold only pooled events
+	laneHead int
 	free     []*Event
 	seq      uint64
 	executed uint64
@@ -126,7 +133,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events still scheduled (including
 // cancelled events not yet popped).
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.laneHead }
 
 // alloc takes an Event from the free list, or allocates a fresh one.
 func (e *Engine) alloc() *Event {
@@ -183,7 +190,14 @@ func (e *Engine) schedule(at Time) *Event {
 	}
 	ev := e.alloc()
 	ev.at = at
-	e.push(entry{at, e.seq, ev})
+	if at != e.now {
+		e.push(entry{at, e.seq, ev})
+	} else {
+		if len(e.lane) == cap(e.lane) {
+			e.lane = doubled(e.lane)
+		}
+		e.lane = append(e.lane, entry{at, e.seq, ev})
+	}
 	e.seq++
 	return ev
 }
@@ -215,8 +229,8 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	ev.dead = true
-	// Leave it in the heap; the run loop discards dead events when popped
-	// and recycles them.
+	// Leave it queued in the heap or the lane; the run loop discards dead
+	// events when it reaches them and recycles them.
 }
 
 // Run executes events in (time, insertion) order until the queue drains.
@@ -234,7 +248,11 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.heap) > 0 && e.heap[0].at <= limit {
+	if e.now <= limit {
+		e.drainLane()
+	}
+	// Drain the lane after every heap event, cancelled ones included.
+	for ; len(e.heap) > 0 && e.heap[0].at <= limit; e.drainLane() {
 		top := e.pop()
 		if top.dead {
 			e.recycle(top)
@@ -253,29 +271,72 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
+// drainLane runs lane events until the lane is empty or the heap's top is
+// due now, which orders it before every lane entry.
+func (e *Engine) drainLane() {
+	for e.laneFirst() {
+		ev := e.take()
+		if !ev.dead {
+			e.executed++
+			ev.run()
+		}
+		e.recycle(ev)
+	}
+}
+
+// laneFirst reports whether the next queued event is the lane's head.
+func (e *Engine) laneFirst() bool {
+	return e.laneHead < len(e.lane) && (len(e.heap) == 0 || e.heap[0].at != e.now)
+}
+
+// take removes the next queued event in (time, sequence) order, resetting
+// the lane once it drains.
+func (e *Engine) take() *Event {
+	if !e.laneFirst() {
+		return e.pop()
+	}
+	ev := e.lane[e.laneHead].ev
+	if e.laneHead++; e.laneHead == len(e.lane) {
+		e.lane, e.laneHead = e.lane[:0], 0
+	}
+	return ev
+}
+
 // NextEventTime returns the scheduled time of the earliest live pending
 // event, or false when no live event is queued. Cancelled events at the
 // head of the queue are discarded on the way — the run loop would skip
 // them anyway. The parallel shard driver polls this between execution
 // windows to compute safe lookahead horizons.
 func (e *Engine) NextEventTime() (Time, bool) {
-	for len(e.heap) > 0 {
-		if top := e.heap[0]; !top.ev.dead {
+	for e.Pending() > 0 {
+		if e.laneFirst() {
+			if !e.lane[e.laneHead].ev.dead {
+				return e.now, true
+			}
+		} else if top := e.heap[0]; !top.ev.dead {
 			return top.at, true
 		}
-		e.recycle(e.pop())
+		e.recycle(e.take())
 	}
 	return 0, false
 }
 
 // Step executes exactly one live event, if any, and reports whether an
-// event ran. Useful for fine-grained testing.
+// event ran. Useful for fine-grained testing; handlers must not call it.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		top := e.pop()
+	if e.running {
+		panic("sim: Step re-entered; event handlers must not call Step")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+	for e.Pending() > 0 {
+		top := e.take()
 		if top.dead {
 			e.recycle(top)
 			continue
+		}
+		if top.at < e.now {
+			panic(fmt.Sprintf("sim: event time %v before clock %v", top.at, e.now))
 		}
 		e.now = top.at
 		e.executed++
@@ -294,12 +355,8 @@ func (e *Engine) Step() bool {
 // typed callback and its argument; the caller is responsible for mapping
 // (fn, arg) pairs to a serializable identity.
 func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error) error {
-	live := make([]entry, 0, len(e.heap))
-	for _, x := range e.heap {
-		if !x.ev.dead {
-			live = append(live, x)
-		}
-	}
+	live := append(slices.Clone(e.heap), e.lane[e.laneHead:]...)
+	live = slices.DeleteFunc(live, func(x entry) bool { return x.ev.dead })
 	sort.Slice(live, func(i, j int) bool { return less(live[i], live[j]) })
 	for _, x := range live {
 		ev := x.ev
@@ -321,7 +378,7 @@ func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error
 // checkpointed execution order therefore preserves their relative order
 // exactly, which is what byte-identical resume requires.
 func (e *Engine) RestoreClock(now Time, executed uint64) error {
-	if e.now != 0 || e.executed != 0 || e.seq != 0 || len(e.heap) != 0 {
+	if e.now != 0 || e.executed != 0 || e.seq != 0 || e.Pending() != 0 {
 		return fmt.Errorf("sim: RestoreClock on a used engine")
 	}
 	if now < 0 {
@@ -344,9 +401,7 @@ func less(a, b entry) bool {
 func (e *Engine) push(x entry) {
 	i := len(e.heap)
 	if i == cap(e.heap) {
-		grown := make([]entry, i, max(2*i, 64))
-		copy(grown, e.heap)
-		e.heap = grown
+		e.heap = doubled(e.heap)
 	}
 	e.heap = e.heap[:i+1]
 	h := e.heap
@@ -388,4 +443,9 @@ func (e *Engine) pop() *Event {
 		h[i] = x
 	}
 	return top
+}
+
+// doubled copies q into an array of twice its capacity (at least 64).
+func doubled(q []entry) []entry {
+	return append(make([]entry, 0, max(2*len(q), 64)), q...)
 }

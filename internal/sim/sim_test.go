@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -197,6 +198,72 @@ func TestReentrantRunPanics(t *testing.T) {
 	e.Run()
 }
 
+// engineDrivers runs an engine to completion through Run or through Step.
+var engineDrivers = []struct {
+	name  string
+	drive func(*Engine)
+}{
+	{"Run", func(e *Engine) { e.Run() }},
+	{"Step", func(e *Engine) {
+		for e.Step() {
+		}
+	}},
+}
+
+func TestStepReentryPanics(t *testing.T) {
+	for _, d := range engineDrivers {
+		var e Engine
+		panicked := false
+		e.Schedule(1, func() {
+			defer func() { panicked = recover() != nil }()
+			e.Step()
+		})
+		e.Schedule(2, func() {})
+		d.drive(&e)
+		if !panicked {
+			t.Errorf("%s: Step from a handler did not panic", d.name)
+		}
+		if e.Executed() != 2 || e.Now() != 2 {
+			t.Errorf("%s: executed %d events, clock %v; want 2 and 2", d.name, e.Executed(), e.Now())
+		}
+	}
+}
+
+func TestStepClockCheckPanics(t *testing.T) {
+	var e Engine
+	e.Schedule(1, func() { t.Error("event behind the clock executed") })
+	e.now = 2 // corrupt the clock past the queued event
+	defer func() {
+		if recover() == nil {
+			t.Error("Step ran an event behind the clock without panicking")
+		}
+	}()
+	e.Step()
+}
+
+// A and C are queued for t=5 from t=0; B is scheduled at Now() by A. C was
+// queued before the clock reached 5, so it has the lower insertion
+// sequence and must run before B, although B takes the same-time lane.
+// A cancelled D at t=5 must not let E at t=6 overtake B either.
+func TestSameTimeLaneOrder(t *testing.T) {
+	for _, d := range engineDrivers {
+		var e Engine
+		var order []string
+		note := func(name string) func() { return func() { order = append(order, name) } }
+		e.Schedule(5, func() {
+			note("A")()
+			e.Schedule(e.Now(), note("B"))
+		})
+		e.Schedule(5, note("C"))
+		e.Cancel(e.Schedule(5, note("D")))
+		e.Schedule(6, note("E"))
+		d.drive(&e)
+		if got := strings.Join(order, ","); got != "A,C,B,E" {
+			t.Errorf("%s: ran %s, want A,C,B,E", d.name, got)
+		}
+	}
+}
+
 func TestTimeConversions(t *testing.T) {
 	if Micro(3).Micros() != 3 {
 		t.Errorf("Micro/Micros roundtrip: %v", Micro(3).Micros())
@@ -283,9 +350,12 @@ type refKey struct {
 
 // Property: at heap depth and under heavy ties, the engine executes
 // exactly the order of a naive sorted-slice queue on (time, insertion
-// sequence). Handlers schedule at Now() and shortly after, random events
-// are cancelled, and the queue drains through RunUntil windows, Step and
-// NextEventTime.
+// sequence). The engine starts from a restored clock with events at that
+// very time; handlers schedule at Now() and shortly after; between
+// windows, events are scheduled at Now() from outside the run loop, as
+// the shard coordinator does, and some are cancelled at once; random
+// events are cancelled, and the queue drains through RunUntil windows,
+// Step and NextEventTime.
 func TestReferenceOrderProperty(t *testing.T) {
 	for seed, budget := range []int{200, 2000, 20000} {
 		checkReferenceOrder(t, rng.New(uint64(seed+1)), budget)
@@ -318,11 +388,24 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 		}
 		return ref[0], true
 	}
+	cancel := func(id int) {
+		cancelled[id] = true
+		e.Cancel(handles[id])
+	}
 	cancelRandom := func() {
 		if len(ref) > 0 {
-			id := ref[r.Intn(len(ref))].id
-			cancelled[id] = true
-			e.Cancel(handles[id])
+			cancel(ref[r.Intn(len(ref))].id)
+		}
+	}
+	// outside schedules at exactly Now() from outside the run loop and
+	// sometimes cancels the event at once, leaving a cancelled lane entry
+	// for NextEventTime or Step to discard.
+	outside := func() {
+		if r.Intn(2) == 0 && len(handles) < budget {
+			schedule(e.Now())
+			if r.Intn(2) == 0 {
+				cancel(len(handles) - 1)
+			}
 		}
 	}
 	fire = func(arg any) {
@@ -339,15 +422,21 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 			cancelRandom()
 		}
 	}
-	for i := 0; i < budget/2; i++ {
-		schedule(Time(r.Intn(5)))
+	start := Time(r.Intn(3))
+	if err := e.RestoreClock(start, 0); err != nil {
+		t.Fatal(err)
 	}
-	for limit := Time(0); ; limit += 1.5 {
+	for i := 0; i < budget/2; i++ {
+		schedule(start + Time(r.Intn(5)))
+	}
+	for limit := start; ; limit += 1.5 {
 		e.RunUntil(limit)
 		want, ok := head()
 		if ok && want.at <= limit {
 			t.Fatalf("budget %d: RunUntil(%v) left event %+v queued", budget, limit, want)
 		}
+		outside()
+		want, ok = head()
 		at, live := e.NextEventTime()
 		if live != ok || at != want.at || e.Pending() != len(ref) {
 			t.Fatalf("budget %d: NextEventTime = (%v, %v) with %d pending, reference (%v, %v) with %d",
@@ -357,8 +446,12 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 			break
 		}
 		cancelRandom()
-		if r.Intn(2) == 0 && !e.Step() {
-			t.Fatalf("budget %d: Step ran nothing with live events queued", budget)
+		if r.Intn(2) == 0 {
+			_, ok := head()
+			if e.Step() != ok {
+				t.Fatalf("budget %d: Step reported %v with live events queued = %v", budget, !ok, ok)
+			}
+			outside()
 		}
 	}
 	if len(handles) < budget/2 {
@@ -378,6 +471,32 @@ func BenchmarkHold(b *testing.B) {
 	hold = func(any) { e.AfterCall(Time(r.Float64()), hold, nil) }
 	for i := 0; i < pending; i++ {
 		e.ScheduleCall(Time(r.Float64()), hold, nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// BenchmarkSameTime mirrors the progress checks of a zero-overhead
+// network model at BenchmarkHold's depth: each of 4×10^5 pending phase
+// events, when it runs, schedules two checks at Now() and its successor
+// phase at Now() plus a random increment, so two of every three events
+// are scheduled at exactly Now(). ns/event is the engine's own cost per
+// event in that mix.
+func BenchmarkSameTime(b *testing.B) {
+	const pending = 400_000
+	r := rng.New(1)
+	var e Engine
+	var phase func(any)
+	phase = func(any) {
+		e.ScheduleCall(e.Now(), nopCall, nil)
+		e.ScheduleCall(e.Now(), nopCall, nil)
+		e.AfterCall(Time(r.Float64()), phase, nil)
+	}
+	for i := 0; i < pending; i++ {
+		e.ScheduleCall(Time(r.Float64()), phase, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
