@@ -22,6 +22,14 @@
 // heap entry at Now() was scheduled before the clock got there, so it runs
 // before every lane entry; the clock advances only once the lane is empty.
 //
+// An event due at the time of the most recent heap push, while that event
+// (the tail) is still queued, links behind it instead: one heap entry then
+// holds a run of events under the run head's key, and pop hands them out
+// one by one, keeping the entry at the root until the run is empty. Every
+// event scheduled in between went to the heap at another time or to the
+// lane at an earlier Now(), so nothing orders between run members; lane
+// entries at that time can only be scheduled once the clock reaches it.
+//
 // # Allocation discipline
 //
 // The engine is the innermost loop of every simulation, so it recycles
@@ -79,11 +87,12 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // resource cancelling its own pending timer — must therefore drop their
 // handle when the event fires, which is the natural shape anyway.
 type Event struct {
-	at     Time
-	fn     func()    // closure form (Schedule)
-	callFn func(any) // typed-callback form (ScheduleCall)
-	arg    any
-	dead   bool
+	at      Time
+	callFn  func(any) // callClosure for the closure form (Schedule)
+	arg     any       // the func() itself for the closure form
+	next    *Event    // the rest of this event's run
+	dead    bool
+	closure bool // scheduled by Schedule, so SnapshotEvents cannot name it
 }
 
 // entry is one heap slot: the event's ordering key, inline, so sifts
@@ -103,20 +112,20 @@ func (e *Event) At() Time { return e.at }
 // Cancelled reports whether the event has been cancelled.
 func (e *Event) Cancelled() bool { return e.dead }
 
-// run invokes the event's action in whichever form it was scheduled.
-func (e *Event) run() {
-	if e.callFn != nil {
-		e.callFn(e.arg)
-		return
-	}
-	e.fn()
-}
+// run invokes the event's action.
+func (e *Event) run() { e.callFn(e.arg) }
+
+// callClosure is the typed callback behind Schedule's closure form: a
+// func value is pointer-shaped, so storing it in arg allocates nothing.
+func callClosure(fn any) { fn.(func())() }
 
 // Engine owns the virtual clock, the pending-event heap, the same-time
 // lane and the event free list. The zero value is ready to use.
 type Engine struct {
 	now      Time
 	heap     []entry
+	tail     *Event  // the last event of the latest heap push's run, while queued
+	chained  int     // queued events linked behind a run head
 	lane     []entry // events at now, FIFO from laneHead; stale slots hold only pooled events
 	laneHead int
 	free     []*Event
@@ -133,7 +142,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events still scheduled (including
 // cancelled events not yet popped).
-func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.laneHead }
+func (e *Engine) Pending() int { return len(e.heap) + e.chained + len(e.lane) - e.laneHead }
 
 // alloc takes an Event from the free list, or allocates a fresh one.
 func (e *Engine) alloc() *Event {
@@ -149,7 +158,6 @@ func (e *Engine) alloc() *Event {
 // recycle returns an executed or discarded event to the free list,
 // clearing the action references so the pool does not retain garbage.
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
 	ev.callFn = nil
 	ev.arg = nil
 	e.free = append(e.free, ev)
@@ -164,7 +172,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		panic("sim: scheduling nil event function")
 	}
 	ev := e.schedule(at)
-	ev.fn = fn
+	ev.callFn, ev.arg, ev.closure = callClosure, fn, true
 	return ev
 }
 
@@ -178,25 +186,31 @@ func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) *Event {
 		panic("sim: scheduling nil event function")
 	}
 	ev := e.schedule(at)
-	ev.callFn = fn
-	ev.arg = arg
+	ev.callFn, ev.arg, ev.closure = fn, arg, false
 	return ev
 }
 
-// schedule allocates and enqueues a bare event at the given time.
+// schedule allocates and enqueues a bare event at the given time: in the
+// lane at Now(), behind the tail at its time, else as a new heap entry.
+// A NaN time compares false both ways and is refused as past.
 func (e *Engine) schedule(at Time) *Event {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
-	if at != e.now {
-		e.push(entry{at, e.seq, ev})
-	} else {
+	switch {
+	case at == e.now:
 		if len(e.lane) == cap(e.lane) {
 			e.lane = doubled(e.lane)
 		}
 		e.lane = append(e.lane, entry{at, e.seq, ev})
+	case e.tail != nil && e.tail.at == at:
+		e.tail.next, e.tail = ev, ev
+		e.chained++
+	default:
+		e.push(entry{at, e.seq, ev})
+		e.tail = ev
 	}
 	e.seq++
 	return ev
@@ -204,7 +218,7 @@ func (e *Engine) schedule(at Time) *Event {
 
 // After schedules fn to run delay after the current time.
 func (e *Engine) After(delay Time, fn func()) *Event {
-	if delay < 0 {
+	if !(delay >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return e.Schedule(e.now+delay, fn)
@@ -213,7 +227,7 @@ func (e *Engine) After(delay Time, fn func()) *Event {
 // AfterCall schedules fn(arg) to run delay after the current time — the
 // typed-callback counterpart of After.
 func (e *Engine) AfterCall(delay Time, fn func(any), arg any) *Event {
-	if delay < 0 {
+	if !(delay >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return e.ScheduleCall(e.now+delay, fn, arg)
@@ -355,16 +369,19 @@ func (e *Engine) Step() bool {
 // typed callback and its argument; the caller is responsible for mapping
 // (fn, arg) pairs to a serializable identity.
 func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error) error {
-	live := append(slices.Clone(e.heap), e.lane[e.laneHead:]...)
-	live = slices.DeleteFunc(live, func(x entry) bool { return x.ev.dead })
-	sort.Slice(live, func(i, j int) bool { return less(live[i], live[j]) })
-	for _, x := range live {
-		ev := x.ev
-		if ev.callFn == nil {
-			return fmt.Errorf("sim: cannot snapshot closure-form event at t=%v", ev.at)
-		}
-		if err := visit(ev.at, ev.callFn, ev.arg); err != nil {
-			return err
+	queued := append(slices.Clone(e.heap), e.lane[e.laneHead:]...)
+	sort.Slice(queued, func(i, j int) bool { return less(queued[i], queued[j]) })
+	for _, x := range queued {
+		for ev := x.ev; ev != nil; ev = ev.next {
+			if ev.dead {
+				continue
+			}
+			if ev.closure {
+				return fmt.Errorf("sim: cannot snapshot closure-form event at t=%v", ev.at)
+			}
+			if err := visit(ev.at, ev.callFn, ev.arg); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -416,11 +433,21 @@ func (e *Engine) push(x entry) {
 	h[i] = x
 }
 
-// pop removes the earliest entry, moving the hole down from the root
-// until the former last entry fits.
+// pop removes the earliest event. The rest of a run stays at the root
+// under its key; a run's last event leaves it, and the hole moves down
+// from the root until the former last entry fits.
 func (e *Engine) pop() *Event {
 	h := e.heap
 	top, last := h[0].ev, len(h)-1
+	if top == e.tail {
+		e.tail = nil
+	}
+	// Test chained first: without runs, pop never touches the cold event.
+	if e.chained > 0 && top.next != nil {
+		h[0].ev, top.next = top.next, nil
+		e.chained--
+		return top
+	}
 	x := h[last]
 	h[last] = entry{} // release the slot's reference for the pool
 	h = h[:last]

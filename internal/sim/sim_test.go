@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -54,17 +56,21 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
+// A NaN time compares false against every clock, so a plain at < now
+// check would let it in, and the queue would then stall behind it.
 func TestSchedulePastPanics(t *testing.T) {
-	var e Engine
-	e.Schedule(10, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.Schedule(5, func() {})
-	})
-	e.Run()
+	for _, at := range []Time{5, Time(math.NaN())} {
+		var e Engine
+		e.Schedule(10, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scheduling at %v from t=10 did not panic", at)
+				}
+			}()
+			e.Schedule(at, func() {})
+		})
+		e.Run()
+	}
 }
 
 func TestScheduleNilPanics(t *testing.T) {
@@ -78,13 +84,21 @@ func TestScheduleNilPanics(t *testing.T) {
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
-	var e Engine
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
+	for _, delay := range []Time{-1, Time(math.NaN())} {
+		for name, after := range map[string]func(*Engine){
+			"After":     func(e *Engine) { e.After(delay, func() {}) },
+			"AfterCall": func(e *Engine) { e.AfterCall(delay, nopCall, nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", name, delay)
+					}
+				}()
+				after(new(Engine))
+			}()
 		}
-	}()
-	e.After(-1, func() {})
+	}
 }
 
 func TestCancel(t *testing.T) {
@@ -264,6 +278,75 @@ func TestSameTimeLaneOrder(t *testing.T) {
 	}
 }
 
+// A and B at t=5 share one heap entry (a run); X at t=7 then becomes the
+// latest push, so C at t=5 starts a new entry behind the run. D, scheduled
+// by A at Now(), takes the lane and runs after everything queued for t=5
+// beforehand.
+func TestSameTimeRunOrder(t *testing.T) {
+	for _, d := range engineDrivers {
+		var e Engine
+		var order []string
+		note := func(name string) func() { return func() { order = append(order, name) } }
+		e.Schedule(5, func() {
+			note("A")()
+			e.Schedule(e.Now(), note("D"))
+		})
+		e.Schedule(5, note("B"))
+		e.Schedule(7, note("X"))
+		e.Schedule(5, note("C"))
+		if len(e.heap) != 3 || e.chained != 1 || e.Pending() != 4 {
+			t.Fatalf("%s: %d heap entries, %d chained, %d pending; want 3, 1, 4",
+				d.name, len(e.heap), e.chained, e.Pending())
+		}
+		d.drive(&e)
+		if got := strings.Join(order, ","); got != "A,B,C,D,X" {
+			t.Errorf("%s: ran %s, want A,B,C,D,X", d.name, got)
+		}
+	}
+}
+
+// A cancelled tail discarded before the clock reaches its time must stop
+// being the tail: otherwise B, scheduled at the same time, reuses the
+// recycled event and links behind itself, and is never run.
+func TestRunTailReset(t *testing.T) {
+	for name, discard := range map[string]func(*Engine){
+		"RunUntil":      func(e *Engine) { e.RunUntil(5) },
+		"NextEventTime": func(e *Engine) { e.NextEventTime() },
+	} {
+		var e Engine
+		e.Cancel(e.Schedule(5, func() { t.Errorf("%s: cancelled A ran", name) }))
+		discard(&e)
+		if e.Now() != 0 || e.Pending() != 0 {
+			t.Fatalf("%s: clock %v with %d pending after discarding A; want 0 and 0", name, e.Now(), e.Pending())
+		}
+		var ranAt Time = -1
+		e.Schedule(5, func() { ranAt = e.Now() })
+		if e.Run(); ranAt != 5 {
+			t.Errorf("%s: B scheduled at 5 after the discard ran at %v", name, ranAt)
+		}
+	}
+}
+
+// SnapshotEvents refuses closure-form events, also inside a run, and a
+// recycled closure event scheduled again in typed form is snapshottable.
+func TestSnapshotRejectsClosures(t *testing.T) {
+	var e Engine
+	e.Schedule(1, func() {})
+	e.Run()
+	e.ScheduleCall(2, nopCall, nil) // reuses the closure event's object
+	closure := e.Schedule(2, func() {})
+	visits := 0
+	count := func(Time, func(any), any) error { visits++; return nil }
+	if err := e.SnapshotEvents(count); err == nil {
+		t.Error("SnapshotEvents accepted a closure-form event")
+	}
+	e.Cancel(closure)
+	visits = 0
+	if err := e.SnapshotEvents(count); err != nil || visits != 1 {
+		t.Errorf("SnapshotEvents = %v with %d visits, want nil and 1", err, visits)
+	}
+}
+
 func TestTimeConversions(t *testing.T) {
 	if Micro(3).Micros() != 3 {
 		t.Errorf("Micro/Micros roundtrip: %v", Micro(3).Micros())
@@ -369,7 +452,17 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 	var handles []*Event
 	var cancelled []bool
 	var fire func(any)
+	var last Time // the previous schedule's time
+	// reuse returns the previous schedule's time about half the time, when
+	// it is still ahead of the clock, so runs get long.
+	reuse := func(at Time) Time {
+		if len(handles) > 0 && last > e.Now() && r.Intn(2) == 0 {
+			return last
+		}
+		return at
+	}
 	schedule := func(at Time) {
+		last = at
 		id := len(handles)
 		handles = append(handles, e.ScheduleCall(at, fire, id))
 		cancelled = append(cancelled, false)
@@ -416,7 +509,7 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 		}
 		ref = ref[1:]
 		for k := r.Intn(3); k > 0 && len(handles) < budget; k-- {
-			schedule(e.Now() + Time(r.Intn(3))*0.5)
+			schedule(reuse(e.Now() + Time(r.Intn(3))*0.5))
 		}
 		if r.Intn(8) == 0 {
 			cancelRandom()
@@ -427,7 +520,7 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 		t.Fatal(err)
 	}
 	for i := 0; i < budget/2; i++ {
-		schedule(start + Time(r.Intn(5)))
+		schedule(reuse(start + Time(r.Intn(5))))
 	}
 	for limit := start; ; limit += 1.5 {
 		e.RunUntil(limit)
@@ -441,6 +534,25 @@ func checkReferenceOrder(t *testing.T, r *rng.Rand, budget int) {
 		if live != ok || at != want.at || e.Pending() != len(ref) {
 			t.Fatalf("budget %d: NextEventTime = (%v, %v) with %d pending, reference (%v, %v) with %d",
 				budget, at, live, e.Pending(), want.at, ok, len(ref))
+		}
+		var wantSnap []int
+		for _, k := range ref {
+			if !cancelled[k.id] {
+				wantSnap = append(wantSnap, k.id)
+			}
+		}
+		var snap []int
+		if err := e.SnapshotEvents(func(at Time, _ func(any), arg any) error {
+			if id := arg.(int); at != handles[id].At() {
+				t.Fatalf("budget %d: snapshot saw event %d at %v, scheduled at %v", budget, id, at, handles[id].At())
+			}
+			snap = append(snap, arg.(int))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(snap, wantSnap) {
+			t.Fatalf("budget %d: SnapshotEvents visited %v, reference live order %v", budget, snap, wantSnap)
 		}
 		if !ok {
 			break
@@ -497,6 +609,25 @@ func BenchmarkSameTime(b *testing.B) {
 	}
 	for i := 0; i < pending; i++ {
 		e.ScheduleCall(Time(r.Float64()), phase, nil)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// BenchmarkLockstep is a lockstep chain at BenchmarkHold's depth: each of
+// 4×10^5 pending events, when it runs, schedules its successor at Now()+1,
+// so every time step is one run of 4×10^5 events. ns/event is the engine's
+// own cost per event when pushes land at the previous push's time.
+func BenchmarkLockstep(b *testing.B) {
+	const pending = 400_000
+	var e Engine
+	var step func(any)
+	step = func(any) { e.AfterCall(1, step, nil) }
+	for i := 0; i < pending; i++ {
+		e.ScheduleCall(1, step, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
