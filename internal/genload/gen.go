@@ -195,7 +195,7 @@ func (g GenWorkload) WithPhase(d Distribution) Part {
 func (g GenWorkload) String() string {
 	var b strings.Builder
 	b.WriteString("gen:")
-	b.WriteString(shapeLabel(g.Topo, g.Ranks))
+	b.WriteString(ShapeLabel(g.Topo, g.Ranks))
 	fmt.Fprintf(&b, ":steps=%d", g.Steps)
 	if g.Phase != nil {
 		b.WriteString(":phase=")
@@ -226,73 +226,39 @@ func (g GenWorkload) Programs() ([]mpisim.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj := make(map[int]map[int]sim.Time)
-	for _, in := range g.Injections {
-		if inj[in.Rank] == nil {
-			inj[in.Rank] = make(map[int]sim.Time)
-		}
-		inj[in.Rank][in.Step] += in.Duration
-	}
-	n := topo.Ranks()
-	progs := make([]mpisim.Program, n)
-	for i := 0; i < n; i++ {
-		phases, delays := g.expandRank(i)
-		for step, d := range inj[i] {
-			delays[step] += d
-		}
-		sends := topo.SendTargets(i)
-		recvs := topo.RecvSources(i)
-		p := make(mpisim.Program, 0, g.Steps*(len(sends)+len(recvs)+3))
-		for step := 0; step < g.Steps; step++ {
-			if d := delays[step]; d > 0 {
-				p = append(p, mpisim.Delay{Duration: d, Step: step})
-			}
-			p = append(p, mpisim.Compute{Duration: phases[step], Step: step})
-			for _, to := range sends {
-				p = append(p, mpisim.Isend{To: to, Bytes: g.Bytes, Tag: step})
-			}
-			for _, from := range recvs {
-				p = append(p, mpisim.Irecv{From: from, Bytes: g.Bytes, Tag: step})
-			}
-			p = append(p, mpisim.Waitall{Step: step})
-		}
-		progs[i] = p
-	}
-	return progs, nil
+	return BulkLoop{
+		Topo: topo, Steps: g.Steps, Bytes: g.Bytes, Injections: g.Injections, Fill: g.expandRank,
+	}.Programs(), nil
 }
 
 // expandRank draws one rank's per-step phase durations and aggregated
-// process delays. The rank's nominal timeline — the running sum of its
-// own phase draws — anchors temporal modulation and places the
-// injection process's arrivals into steps.
-func (g GenWorkload) expandRank(rank int) (phases, delays []sim.Time) {
-	phases = make([]sim.Time, g.Steps)
-	delays = make([]sim.Time, g.Steps)
-
+// process delays into the given rows (delays arrives zeroed). The
+// rank's nominal timeline — the running sum of its own phase draws —
+// anchors temporal modulation and places the injection process's
+// arrivals into steps.
+func (g GenWorkload) expandRank(rank int, phases, delays []sim.Time) {
 	pr := rng.New(substreamSeed(g.Seed, rank, streamPhase))
-	var t sim.Time
-	starts := make([]sim.Time, g.Steps)
+	var total sim.Time
 	for step := range phases {
-		starts[step] = t
-		d := g.Phase.Sample(pr, t)
+		d := g.Phase.Sample(pr, total)
 		if d < 0 {
 			d = 0
 		}
 		phases[step] = d
-		t += d
+		total += d
 	}
-	total := t
 
 	if g.Delay == nil || total <= 0 {
-		return phases, delays
+		return
 	}
 	dr := rng.New(substreamSeed(g.Seed, rank, streamDelay))
 	maxEvents := maxDelayEventsPerStep * g.Steps
 	at := g.Every.Sample(dr, 0)
-	step := 0
+	step, next := 0, phases[0] // next is the nominal start of step+1
 	for ev := 0; ev < maxEvents && at < total; ev++ {
-		for step+1 < g.Steps && at >= starts[step+1] {
+		for step+1 < g.Steps && at >= next {
 			step++
+			next += phases[step]
 		}
 		if d := g.Delay.Sample(dr, at); d > 0 {
 			delays[step] += d
@@ -305,7 +271,6 @@ func (g GenWorkload) expandRank(rank int) (phases, delays []sim.Time) {
 		}
 		at += gap
 	}
-	return phases, delays
 }
 
 // substreamSeed derives the seed of one (rank, stream) substream,
@@ -317,11 +282,12 @@ func substreamSeed(seed uint64, rank, stream int) uint64 {
 	return base ^ (uint64(rank)+1)*0x9e3779b97f4a7c15 ^ (uint64(stream)+1)*0xbf58476d1ce4e5b9
 }
 
-// shapeLabel renders the generator's decomposition in the flag syntax:
-// the rank count for the default chain, NxM extents for a plain torus,
-// the topology's own spec otherwise (which does not re-parse as a
-// generator shape).
-func shapeLabel(topo topology.Topology, ranks int) string {
+// ShapeLabel renders a workload's decomposition in the flag syntax: the
+// rank count for the default decomposition (nil topology), NxM extents
+// for a plain torus (the shape the "NxM" spelling builds), the
+// topology's own spec otherwise (which does not re-parse as a workload
+// shape).
+func ShapeLabel(topo topology.Topology, ranks int) string {
 	if topo == nil {
 		return fmt.Sprint(ranks)
 	}

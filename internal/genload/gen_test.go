@@ -47,14 +47,21 @@ func TestGenProgramsDeterministic(t *testing.T) {
 	}
 }
 
+// expand draws one rank's phase and delay rows into fresh slices.
+func expand(g GenWorkload, rank int) (phases, delays []sim.Time) {
+	phases, delays = make([]sim.Time, g.Steps), make([]sim.Time, g.Steps)
+	g.expandRank(rank, phases, delays)
+	return phases, delays
+}
+
 // TestGenRankStreamsIndependent checks a rank's draws depend only on
 // (seed, rank), never on how many other ranks exist — the invariant
 // that keeps sharded execution byte-identical.
 func TestGenRankStreamsIndependent(t *testing.T) {
 	small, large := testGen(4), testGen(32)
 	for rank := 0; rank < 4; rank++ {
-		ps, ds := small.expandRank(rank)
-		pl, dl := large.expandRank(rank)
+		ps, ds := expand(small, rank)
+		pl, dl := expand(large, rank)
 		if !reflect.DeepEqual(ps, pl) || !reflect.DeepEqual(ds, dl) {
 			t.Errorf("rank %d draws change with the rank count", rank)
 		}
@@ -66,8 +73,8 @@ func TestGenSeedChangesDraws(t *testing.T) {
 	a := testGen(4)
 	b := testGen(4)
 	b.Seed = 8
-	pa, _ := a.expandRank(0)
-	pb, _ := b.expandRank(0)
+	pa, _ := expand(a, 0)
+	pb, _ := expand(b, 0)
 	if reflect.DeepEqual(pa, pb) {
 		t.Fatal("different seeds drew identical phases")
 	}
@@ -78,7 +85,7 @@ func TestGenSeedChangesDraws(t *testing.T) {
 func TestGenDelayBound(t *testing.T) {
 	g := testGen(2)
 	g.Every = Det{Value: 1e-12} // one event per picosecond
-	_, delays := g.expandRank(0)
+	_, delays := expand(g, 0)
 	// The expansion is capped, so the total injected time stays finite
 	// and the call returns at all (the real assertion).
 	total := sim.Time(0)

@@ -138,35 +138,14 @@ func (w Replay) Programs() ([]mpisim.Program, error) {
 		return nil, err
 	}
 	rec := w.Data
-	extra := make(map[int]map[int]sim.Time)
-	for _, in := range w.Injections {
-		if extra[in.Rank] == nil {
-			extra[in.Rank] = make(map[int]sim.Time)
-		}
-		extra[in.Rank][in.Step] += in.Duration
-	}
-	progs := make([]mpisim.Program, rec.Ranks)
-	for i := 0; i < rec.Ranks; i++ {
-		sends := topo.SendTargets(i)
-		recvs := topo.RecvSources(i)
-		p := make(mpisim.Program, 0, rec.Steps*(len(sends)+len(recvs)+3))
-		for step := 0; step < rec.Steps; step++ {
-			d := sim.Time(rec.Delay[i][step]) + extra[i][step]
-			if d > 0 {
-				p = append(p, mpisim.Delay{Duration: d, Step: step})
+	return BulkLoop{
+		Topo: topo, Steps: rec.Steps, Bytes: rec.Bytes, Injections: w.Injections,
+		Fill: func(i int, exec, delay []sim.Time) {
+			for s := range exec {
+				exec[s], delay[s] = sim.Time(rec.Exec[i][s]), sim.Time(rec.Delay[i][s])
 			}
-			p = append(p, mpisim.Compute{Duration: sim.Time(rec.Exec[i][step]), Step: step})
-			for _, to := range sends {
-				p = append(p, mpisim.Isend{To: to, Bytes: rec.Bytes, Tag: step})
-			}
-			for _, from := range recvs {
-				p = append(p, mpisim.Irecv{From: from, Bytes: rec.Bytes, Tag: step})
-			}
-			p = append(p, mpisim.Waitall{Step: step})
-		}
-		progs[i] = p
-	}
-	return progs, nil
+		},
+	}.Programs(), nil
 }
 
 // TraceNoise is the noise profile of a replayed run: the injector

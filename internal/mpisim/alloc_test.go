@@ -111,3 +111,34 @@ func TestStepsAreAllocationFree(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceSegmentsPresizedExactly pins the recorder presizing to the
+// ops that can record a segment: per step a noisy Compute (exec plus
+// noise), one send overhead per Isend and one Waitall wait, plus every
+// Delay. An Irecv records none, even with a receive overhead. Each
+// rank's segment slice must come back with exactly that capacity,
+// which proves the tighter hint never regrows.
+func TestTraceSegmentsPresizedExactly(t *testing.T) {
+	const ranks, steps = 8, 10
+	net, err := netmodel.NewLogGOPS(sim.Micro(2), sim.Micro(1), sim.Micro(1), 1e-10, 0, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := allocRingPrograms(ranks, steps, sim.Milli(1), 8192)
+	progs[3] = append(Program{Delay{Duration: sim.Milli(5), Step: 0}}, progs[3]...)
+	cfg := Config{Ranks: ranks, Net: net, Trace: TraceFull,
+		Noise: func(rank, step int) sim.Time { return sim.Micro(10 * float64(1+rank%3)) }}
+	res, err := Run(cfg, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range res.Traces.Ranks {
+		bound := steps * (2 + 2 + 1)
+		if rt.Rank == 3 {
+			bound++
+		}
+		if segs := rt.Segments; cap(segs) != bound || len(segs) > cap(segs) {
+			t.Errorf("rank %d: %d segments in cap %d, want cap %d", rt.Rank, len(segs), cap(segs), bound)
+		}
+	}
+}

@@ -178,7 +178,10 @@ func (Isend) isOp()   {}
 func (Irecv) isOp()   {}
 func (Waitall) isOp() {}
 
-// Program is the operation list executed by one rank.
+// Program is the operation list executed by one rank. The simulator
+// only reads programs, and an op boxed from a non-pointer value cannot
+// be mutated through the Op interface, so programs may share op boxes
+// across ranks and shards.
 type Program []Op
 
 // NoiseFunc returns extra execution time injected into the given rank's
@@ -784,18 +787,23 @@ func Run(cfg Config, programs []Program) (*Result, error) {
 }
 
 // programShape estimates a program's trace footprint for recorder
-// presizing: an upper bound on the segment count (each op produces at
-// most one segment, plus one noise segment per compute phase when noise
-// is configured) and the number of completed steps (one per Waitall).
+// presizing: an upper bound on the segment count and the number of
+// completed steps (one per Waitall). Only the ops that can record a
+// segment count: a Compute (one exec segment, plus one noise segment
+// when noise is configured), a Delay, an Isend (its send overhead) and
+// a Waitall (its wait). An Irecv never records one.
 func programShape(p Program, noisy bool) (segments, steps int) {
-	segments = len(p)
 	for _, op := range p {
 		switch op.(type) {
 		case Compute:
+			segments++
 			if noisy {
 				segments++
 			}
+		case Delay, Isend:
+			segments++
 		case Waitall:
+			segments++
 			steps++
 		}
 	}

@@ -101,9 +101,11 @@ func (g Grid) Dims() int { return len(g.Extents) }
 
 // Coords maps a rank to its per-dimension coordinates (row-major, last
 // dimension fastest).
-func (g Grid) Coords(i int) []int {
+func (g Grid) Coords(i int) []int { return g.coords(make([]int, len(g.Extents)), i) }
+
+// coords writes rank i's coordinates into c, one entry per dimension.
+func (g Grid) coords(c []int, i int) []int {
 	g.check(i)
-	c := make([]int, len(g.Extents))
 	for k := len(g.Extents) - 1; k >= 0; k-- {
 		c[k] = i % g.Extents[k]
 		i /= g.Extents[k]
@@ -161,49 +163,40 @@ func (g Grid) neighbor(coords []int, k, off int) int {
 // order: for each dimension in turn the positive offsets 1..D, then —
 // for bidirectional grids — for each dimension the negative offsets
 // 1..D. A 1-D grid therefore matches Chain's partner order exactly.
-func (g Grid) SendTargets(i int) []int {
-	coords := g.Coords(i)
-	var out []int
-	for k := range g.Extents {
-		for off := 1; off <= g.D; off++ {
-			if j := g.neighbor(coords, k, off); j >= 0 {
-				out = append(out, j)
-			}
-		}
-	}
-	if g.Dir == Bidirectional {
-		for k := range g.Extents {
-			for off := 1; off <= g.D; off++ {
-				if j := g.neighbor(coords, k, -off); j >= 0 {
-					out = append(out, j)
-				}
-			}
-		}
-	}
-	return out
-}
+func (g Grid) SendTargets(i int) []int { return g.partners(i, 1) }
 
 // RecvSources returns the ranks that rank i receives from, in
 // deterministic order: for each dimension the negative offsets 1..D,
 // then — for bidirectional grids — the positive offsets.
-func (g Grid) RecvSources(i int) []int {
-	coords := g.Coords(i)
-	var out []int
-	for k := range g.Extents {
-		for off := 1; off <= g.D; off++ {
-			if j := g.neighbor(coords, k, -off); j >= 0 {
-				out = append(out, j)
-			}
-		}
+func (g Grid) RecvSources(i int) []int { return g.partners(i, -1) }
+
+// partners lists rank i's neighbors at offsets sign*1..sign*D along
+// each dimension, then — for bidirectional grids — at the opposite
+// offsets. It allocates only the result, which is nil when empty.
+func (g Grid) partners(i, sign int) []int {
+	var buf [4]int
+	c := buf[:]
+	if len(g.Extents) > len(buf) {
+		c = make([]int, len(g.Extents))
 	}
+	coords := g.coords(c[:len(g.Extents)], i)
+	passes := 1
 	if g.Dir == Bidirectional {
+		passes = 2
+	}
+	out := make([]int, 0, passes*len(g.Extents)*g.D)
+	for ; passes > 0; passes-- {
 		for k := range g.Extents {
 			for off := 1; off <= g.D; off++ {
-				if j := g.neighbor(coords, k, off); j >= 0 {
+				if j := g.neighbor(coords, k, sign*off); j >= 0 {
 					out = append(out, j)
 				}
 			}
 		}
+		sign = -sign
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -212,35 +212,14 @@ func (b BulkSync) Programs() ([]mpisim.Program, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	inj := make(map[int]map[int]sim.Time)
-	for _, in := range b.Injections {
-		if inj[in.Rank] == nil {
-			inj[in.Rank] = make(map[int]sim.Time)
-		}
-		inj[in.Rank][in.Step] += in.Duration
-	}
-	n := b.Topo.Ranks()
-	progs := make([]mpisim.Program, n)
-	for i := 0; i < n; i++ {
-		sends := b.Topo.SendTargets(i)
-		recvs := b.Topo.RecvSources(i)
-		p := make(mpisim.Program, 0, b.Steps*(len(sends)+len(recvs)+3))
-		for step := 0; step < b.Steps; step++ {
-			if d, ok := inj[i][step]; ok {
-				p = append(p, mpisim.Delay{Duration: d, Step: step})
+	return genload.BulkLoop{
+		Topo: b.Topo, Steps: b.Steps, Bytes: b.Bytes, MemBytes: b.MemBytes, Injections: b.Injections,
+		Fill: func(_ int, exec, _ []sim.Time) {
+			for s := range exec {
+				exec[s] = b.Texec
 			}
-			p = append(p, mpisim.Compute{Duration: b.Texec, MemBytes: b.MemBytes, Step: step})
-			for _, to := range sends {
-				p = append(p, mpisim.Isend{To: to, Bytes: b.Bytes, Tag: step})
-			}
-			for _, from := range recvs {
-				p = append(p, mpisim.Irecv{From: from, Bytes: b.Bytes, Tag: step})
-			}
-			p = append(p, mpisim.Waitall{Step: step})
-		}
-		progs[i] = p
-	}
-	return progs, nil
+		},
+	}.Programs(), nil
 }
 
 // StreamTriad is the Fig. 1 proxy: a pure-MPI McCalpin STREAM triad
@@ -334,7 +313,7 @@ func (s StreamTriad) WithInjections(inj ...noise.Injection) Workload {
 // option that differs from the Parse defaults so the label re-parses
 // to an equal value.
 func (s StreamTriad) String() string {
-	out := "triad:" + shapeLabel(s.Topo, s.Ranks) + stepsLabel(s.Steps)
+	out := "triad:" + genload.ShapeLabel(s.Topo, s.Ranks) + stepsLabel(s.Steps)
 	if s.WorkingSet > 0 && s.WorkingSet != defaultTriadWorkingSet {
 		out += ":ws=" + formatFloatOption(s.WorkingSet)
 	}
@@ -378,39 +357,6 @@ func appendInjections(base, extra []noise.Injection) []noise.Injection {
 	out := make([]noise.Injection, 0, len(base)+len(extra))
 	out = append(out, base...)
 	return append(out, extra...)
-}
-
-// shapeLabel renders a workload's decomposition for String() in the
-// flag syntax where it has a spelling: the rank count for the default
-// decomposition, NxM extents for a plain torus (the shape Parse
-// builds). Other topologies fall back to their own String(), which
-// does not re-parse as a workload spec.
-func shapeLabel(topo topology.Topology, ranks int) string {
-	if topo == nil {
-		return fmt.Sprint(ranks)
-	}
-	if g, ok := topo.(topology.Grid); ok && isPlainTorus(g) {
-		parts := make([]string, len(g.Extents))
-		for i, e := range g.Extents {
-			parts[i] = fmt.Sprint(e)
-		}
-		return strings.Join(parts, "x")
-	}
-	return topo.String()
-}
-
-// isPlainTorus reports whether the grid is the shape the "NxM" flag
-// spelling produces: d=1, bidirectional, fully periodic.
-func isPlainTorus(g topology.Grid) bool {
-	if g.D != 1 || g.Dir != topology.Bidirectional {
-		return false
-	}
-	for _, b := range g.Bounds {
-		if b != topology.Periodic {
-			return false
-		}
-	}
-	return len(g.Bounds) > 0
 }
 
 // LBM is the Fig. 2 proxy: a double-precision D3Q19 lattice-Boltzmann
@@ -524,7 +470,7 @@ func (l LBM) WithInjections(inj ...noise.Injection) Workload {
 // differs from the Parse default so the label re-parses to an equal
 // value.
 func (l LBM) String() string {
-	return fmt.Sprintf("lbm:%s%s:cells=%d", shapeLabel(l.Topo, l.Ranks), stepsLabel(l.Steps), l.CellsPerDim)
+	return fmt.Sprintf("lbm:%s%s:cells=%d", genload.ShapeLabel(l.Topo, l.Ranks), stepsLabel(l.Steps), l.CellsPerDim)
 }
 
 // Programs builds the LBM programs, on a closed ring unless Topo
@@ -623,7 +569,7 @@ func (d DivideKernel) WithInjections(inj ...noise.Injection) Workload {
 // that differs from the Parse defaults so the label re-parses to an
 // equal value.
 func (d DivideKernel) String() string {
-	out := "divide:" + shapeLabel(d.Topo, d.Ranks) + stepsLabel(d.Steps)
+	out := "divide:" + genload.ShapeLabel(d.Topo, d.Ranks) + stepsLabel(d.Steps)
 	if d.PhaseTime > 0 && d.PhaseTime != defaultDividePhase {
 		out += ":phase=" + sim.FormatDuration(d.PhaseTime)
 	}
