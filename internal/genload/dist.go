@@ -8,7 +8,7 @@
 // randomness is expanded at Programs() time from a fixed seed through
 // internal/rng split streams keyed by (seed, rank, stream), so the
 // entire existing pipeline — Simulate, Sweep, shards, front trackers,
-// snapshots, the sweep service — runs generated workloads unchanged and
+// the sweep service — runs generated workloads unchanged and
 // the repository's determinism contract (fixed seed ⇒ byte-identical
 // output at any worker or shard count) holds with no new machinery.
 //

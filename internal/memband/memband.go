@@ -266,74 +266,6 @@ func (s *Socket) complete() {
 // Done reports whether the phase has completed.
 func (p *Phase) Done() bool { return p.done }
 
-// SnapshotPhases visits every active phase in start order (the socket's
-// deterministic traversal order) for checkpointing. Only typed-callback
-// phases can be externalized; a closure-form phase returns an error.
-// Call Integrate first so the remaining volumes are current.
-func (s *Socket) SnapshotPhases(visit func(remaining float64, fn func(any), arg any) error) error {
-	for _, p := range s.active {
-		if p.callFn == nil {
-			return fmt.Errorf("memband: cannot snapshot closure-form phase")
-		}
-		if err := visit(p.remaining, p.callFn, p.arg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Integrate folds elapsed virtual time into the active phases' remaining
-// volumes, so SnapshotPhases observes their state as of now.
-func (s *Socket) Integrate() { s.integrate() }
-
-// LastIntegrated returns the virtual time of the last re-integration.
-func (s *Socket) LastIntegrated() sim.Time { return s.lastT }
-
-// RestoreLastIntegrated primes a fresh socket's integration clock to a
-// checkpointed value; part of restore, before any RestorePhase call.
-func (s *Socket) RestoreLastIntegrated(t sim.Time) { s.lastT = t }
-
-// RestorePhase re-creates an active phase from a checkpoint without
-// touching the completion schedule. Phases must be restored in their
-// checkpointed order (SnapshotPhases order), so the active set's
-// deterministic traversal — and with it the event stream — is preserved;
-// the caller re-creates the socket's pending completion event separately
-// with ScheduleRestoredCompletion.
-func (s *Socket) RestorePhase(remaining float64, fn func(any), arg any) *Phase {
-	p := s.newPhase()
-	p.remaining = remaining
-	p.callFn = fn
-	p.arg = arg
-	s.active = append(s.active, p)
-	return p
-}
-
-// ScheduleRestoredCompletion re-creates the socket's pending earliest-
-// completion event at its checkpointed time. It must be called in the
-// checkpoint's event order relative to the other restored events, so the
-// fresh insertion sequence reproduces the original tie-breaking.
-func (s *Socket) ScheduleRestoredCompletion(at sim.Time) {
-	if s.next != nil {
-		s.engine.Cancel(s.next)
-	}
-	s.next = s.engine.ScheduleCall(at, socketComplete, s)
-}
-
-// CompletionCallback returns the typed callback the socket schedules for
-// its pending earliest-completion event (with the *Socket as argument),
-// so checkpointing code walking the engine's event queue can identify
-// and re-create those events.
-func CompletionCallback() func(any) { return socketComplete }
-
-// PendingCompletionAt returns the scheduled time of the socket's pending
-// completion event, or false if none is scheduled.
-func (s *Socket) PendingCompletionAt() (sim.Time, bool) {
-	if s.next == nil || s.next.Cancelled() {
-		return 0, false
-	}
-	return s.next.At(), true
-}
-
 // SoloTime returns how long a phase moving the given volume would take
 // with the socket to itself — the lower bound used by analytic models.
 func (s *Socket) SoloTime(bytes float64) sim.Time {

@@ -66,15 +66,14 @@ func runAllocs(t *testing.T, ranks, steps int, memBound bool) float64 {
 }
 
 // smallRunAllocBudget is the allocation budget for a 4-rank, 6-step
-// eager ring Run. The measured value after the pooling refactor is 130
-// — all of it per-run setup (simulation, ranks, matchers, presized
-// recorders, result assembly); the per-step hot path allocates nothing
-// (see TestStepsAreAllocationFree). The pre-pooling engine allocated
-// several hundred more (one event + one closure per scheduled event,
-// one request per posted operation). The budget leaves modest headroom
-// over the measured value; if this test fails, the hot path has started
-// allocating again — profile before raising the number.
-const smallRunAllocBudget = 150
+// eager ring Run. The measured value is 65 — all of it per-run setup
+// (simulation, ranks, request and match-list slabs, presized recorders,
+// the event and eager-message pools, result assembly); the per-step hot
+// path allocates nothing (see TestStepsAreAllocationFree). The budget
+// leaves 20 allocations of headroom over the measured value; if
+// this test fails, the hot path has started allocating again — profile
+// before raising the number.
+const smallRunAllocBudget = 85
 
 // TestSmallRunAllocBudget pins the absolute allocation count of a small
 // simulation run.
@@ -87,9 +86,10 @@ func TestSmallRunAllocBudget(t *testing.T) {
 
 // TestStepsAreAllocationFree pins the marginal allocation cost of a
 // simulation step at zero: a 30-step run must allocate no more than a
-// 6-step run of the same shape, because events, requests, eager
-// messages, matcher slots and memband phases are all pooled and the
-// recorders are presized from the program shape. This is the sharp
+// 6-step run of the same shape, because events, eager messages and
+// memband phases are pooled, requests and match records live in slabs
+// sized from the programs, and the recorders are presized from the
+// program shape. This is the sharp
 // version of the budget above — any per-event or per-request
 // allocation sneaking back into the hot path fails here regardless of
 // the setup cost. Both the compute-bound (eager ring) and the

@@ -2,9 +2,9 @@ package mpisim
 
 // Equivalence property tests for the sparse rank-state structures. The
 // production simulator keeps eager-flow counts in swap-delete peer
-// lists and message-matching channels in pooled linear-scan slots; the
-// dense references here — a full ranks x ranks count matrix and a
-// map of plain slice-backed queues — are the obvious implementations
+// lists and each rank's matching state in one flat, arrival-ordered
+// list; the dense references here — a full ranks x ranks count matrix
+// and a map of per-channel queues — are the obvious implementations
 // those structures replaced. Randomized operation streams must be
 // indistinguishable between the two, and randomized small scenarios
 // must produce byte-identical results under every trace mode.
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -99,144 +100,139 @@ func compareEagerTracker(t *testing.T, tr *eagerTracker, dense [][]int) {
 	}
 }
 
-// denseSlot is the dense matcher reference: one plain slice per queue,
-// keyed in an ordinary map — the structure the pooled linear-scan
-// matcher replaced.
-type denseSlot struct {
-	recvs  []*request
-	eagers []*eagerMsg
-	rts    []*request
+// denseChan is the dense matcher reference for one (source, tag)
+// channel: a plain FIFO of record ids per kind, the per-channel queues
+// the flat match list replaced.
+type denseChan struct {
+	recvs, eagers, rts []int
 }
 
-func (d *denseSlot) empty() bool {
-	return len(d.recvs) == 0 && len(d.eagers) == 0 && len(d.rts) == 0
+// matchKey names one (source, tag) channel of the matcher oracle.
+type matchKey struct{ peer, tag int }
+
+// recID is the oracle's identity of a record: posted receives and
+// handshakes carry it in their request's size, eager data in the
+// record's own size.
+func recID(rec matchRec) int {
+	if rec.req != nil {
+		return rec.req.bytes
+	}
+	return rec.bytes
 }
 
-// TestMatcherMatchesDenseReference drives the pooled matcher and the
-// dense map reference with the same randomized push/pop stream: every
-// queue must pop the same objects in the same FIFO order, a drained
-// channel must vanish from the matcher, and a fully drained rank must
-// hand its entry list back to the pool.
+// TestMatcherMatchesDenseReference drives a flat match list and a dense
+// per-channel reference with the same randomized interleaving of posted
+// receives, eager arrivals and rendezvous handshakes across several
+// channels, under the production matching rules: a receive takes eager
+// data first, then a handshake, else waits; an arrival takes a posted
+// receive, else waits. Every match must pair the records the reference
+// pairs, which pins per-channel FIFO and the eager-over-handshake
+// preference, and the list must hold exactly the reference's waiting
+// records, in arrival order.
 func TestMatcherMatchesDenseReference(t *testing.T) {
 	for _, seed := range []int64{4, 5, 6} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			s := &simulation{}
-			var m matcher
-			dense := make(map[matchKey]*denseSlot)
+			var l matchList
+			dense := make(map[matchKey]*denseChan)
 			keys := []matchKey{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 5}, {3, 7}, {5, 2}}
-			for op := 0; op < 30000; op++ {
-				key := keys[r.Intn(len(keys))]
-				ref := dense[key]
-				switch r.Intn(6) {
-				case 0, 1: // post a receive
-					req := &request{}
-					m.slot(s, key).postedRecvs.push(req)
-					if ref == nil {
-						ref = &denseSlot{}
-						dense[key] = ref
-					}
-					ref.recvs = append(ref.recvs, req)
-				case 2: // unexpected eager arrival
-					msg := &eagerMsg{}
-					m.slot(s, key).unexpEager.push(msg)
-					if ref == nil {
-						ref = &denseSlot{}
-						dense[key] = ref
-					}
-					ref.eagers = append(ref.eagers, msg)
-				case 3: // unexpected rendezvous handshake
-					req := &request{}
-					m.slot(s, key).unexpRTS.push(req)
-					if ref == nil {
-						ref = &denseSlot{}
-						dense[key] = ref
-					}
-					ref.rts = append(ref.rts, req)
-				default: // pop from a non-empty queue, then release
-					if ref == nil || ref.empty() {
-						continue
-					}
-					sl := m.find(key)
-					if sl == nil {
-						t.Fatalf("op %d: channel %v live in reference but not in matcher", op, key)
+			for _, k := range keys {
+				dense[k] = &denseChan{}
+			}
+			pop := func(q *[]int) int { v := (*q)[0]; *q = (*q)[1:]; return v }
+			for id := 1; id <= 30000; id++ {
+				k := keys[r.Intn(len(keys))]
+				ref := dense[k]
+				rec := matchRec{tag: k.tag, peer: int32(k.peer)}
+				var got, want int
+				switch r.Intn(3) {
+				case 0: // post a receive
+					rec.req, rec.kind = &request{bytes: id}, recPosted
+					if x, ok := l.take(recEager, k.peer, k.tag); ok {
+						got = recID(x)
+					} else if x, ok := l.take(recRTS, k.peer, k.tag); ok {
+						got = recID(x)
+					} else {
+						l = append(l, rec)
 					}
 					switch {
-					case len(ref.recvs) > 0:
-						want := ref.recvs[0]
-						ref.recvs = ref.recvs[1:]
-						if got := sl.postedRecvs.pop(); got != want {
-							t.Fatalf("op %d: %v popped recv %p, reference says %p", op, key, got, want)
-						}
 					case len(ref.eagers) > 0:
-						want := ref.eagers[0]
-						ref.eagers = ref.eagers[1:]
-						if got := sl.unexpEager.pop(); got != want {
-							t.Fatalf("op %d: %v popped eager %p, reference says %p", op, key, got, want)
-						}
+						want = pop(&ref.eagers)
+					case len(ref.rts) > 0:
+						want = pop(&ref.rts)
 					default:
-						want := ref.rts[0]
-						ref.rts = ref.rts[1:]
-						if got := sl.unexpRTS.pop(); got != want {
-							t.Fatalf("op %d: %v popped RTS %p, reference says %p", op, key, got, want)
-						}
+						ref.recvs = append(ref.recvs, id)
 					}
-					m.release(s, key, sl)
-					if ref.empty() {
-						delete(dense, key)
+				default: // eager data or a rendezvous handshake arrives
+					q := &ref.eagers
+					if rec.kind = recEager; r.Intn(2) == 0 {
+						rec.kind, rec.req, q = recRTS, &request{bytes: id}, &ref.rts
+					} else {
+						rec.bytes = id
+					}
+					if x, ok := l.take(recPosted, k.peer, k.tag); ok {
+						got = recID(x)
+					} else {
+						l = append(l, rec)
+					}
+					if len(ref.recvs) > 0 {
+						want = pop(&ref.recvs)
+					} else {
+						*q = append(*q, id)
 					}
 				}
-				if op%1000 == 0 {
-					compareMatcher(t, &m, dense)
+				if got != want {
+					t.Fatalf("record %d on %v matched %d, reference matched %d", id, k, got, want)
+				}
+				if id%100 == 0 {
+					compareMatcher(t, l, dense)
 				}
 			}
-			compareMatcher(t, &m, dense)
-			// Drain everything left; the matcher must end empty with its
-			// entry list recycled to the simulation's pool.
-			for key, ref := range dense {
-				sl := m.find(key)
-				for range ref.recvs {
-					sl.postedRecvs.pop()
-				}
-				for range ref.eagers {
-					sl.unexpEager.pop()
-				}
-				for range ref.rts {
-					sl.unexpRTS.pop()
-				}
-				m.release(s, key, sl)
-			}
-			if m.entries != nil {
-				t.Fatalf("drained matcher kept its entry list (%d entries, cap %d)", len(m.entries), cap(m.entries))
-			}
-			if len(s.freeSlots) == 0 || len(s.freeEntryLists) == 0 {
-				t.Fatalf("drained matcher recycled nothing: %d slots, %d entry lists pooled",
-					len(s.freeSlots), len(s.freeEntryLists))
-			}
+			compareMatcher(t, l, dense)
 		})
 	}
 }
 
-func compareMatcher(t *testing.T, m *matcher, dense map[matchKey]*denseSlot) {
+// compareMatcher checks the flat list against the reference: records in
+// strictly increasing arrival order, exactly the reference's queues per
+// channel and kind, and never a posted receive beside waiting data on
+// one channel.
+func compareMatcher(t *testing.T, l matchList, dense map[matchKey]*denseChan) {
 	t.Helper()
-	for key, ref := range dense {
-		sl := m.find(key)
-		if sl == nil {
-			t.Fatalf("channel %v live in reference but missing from matcher", key)
+	got := make(map[matchKey]*denseChan)
+	last := 0
+	for _, rec := range l {
+		id := recID(rec)
+		if id <= last {
+			t.Fatalf("match list out of arrival order: record %d after %d", id, last)
 		}
-		if got, want := sl.postedRecvs.live(), ref.recvs; !samePtrs(got, want) {
-			t.Fatalf("channel %v posted recvs diverge: %d vs %d", key, len(got), len(want))
+		last = id
+		k := matchKey{int(rec.peer), rec.tag}
+		c := got[k]
+		if c == nil {
+			c = &denseChan{}
+			got[k] = c
 		}
-		if got, want := sl.unexpEager.live(), ref.eagers; !samePtrs(got, want) {
-			t.Fatalf("channel %v unexpected eagers diverge: %d vs %d", key, len(got), len(want))
-		}
-		if got, want := sl.unexpRTS.live(), ref.rts; !samePtrs(got, want) {
-			t.Fatalf("channel %v unexpected RTS diverge: %d vs %d", key, len(got), len(want))
+		switch rec.kind {
+		case recPosted:
+			c.recvs = append(c.recvs, id)
+		case recEager:
+			c.eagers = append(c.eagers, id)
+		default:
+			c.rts = append(c.rts, id)
 		}
 	}
-	for i := range m.entries {
-		if _, ok := dense[m.entries[i].key]; !ok {
-			t.Fatalf("matcher keeps channel %v the reference drained", m.entries[i].key)
+	for k, ref := range dense {
+		c := got[k]
+		if c == nil {
+			c = &denseChan{}
+		}
+		if !slices.Equal(c.recvs, ref.recvs) || !slices.Equal(c.eagers, ref.eagers) || !slices.Equal(c.rts, ref.rts) {
+			t.Fatalf("channel %v diverges: list holds %v/%v/%v, reference %v/%v/%v (recvs/eagers/rts)",
+				k, c.recvs, c.eagers, c.rts, ref.recvs, ref.eagers, ref.rts)
+		}
+		if len(c.recvs) > 0 && len(c.eagers)+len(c.rts) > 0 {
+			t.Fatalf("channel %v holds posted receives beside waiting data", k)
 		}
 	}
 }
@@ -288,8 +284,8 @@ func equivPrograms(topo equivTopology, steps int, texec sim.Time, bytes int, inj
 }
 
 // equivNoise is a deterministic noise function that is pure in
-// (rank, step) — the snapshot-safe contract — with enough variation to
-// perturb every rank differently.
+// (rank, step), with enough variation to perturb every rank
+// differently.
 func equivNoise(texec sim.Time) NoiseFunc {
 	return func(rank, step int) sim.Time {
 		h := uint64(rank+1)*0x9e3779b97f4a7c15 ^ uint64(step+1)*0xbf58476d1ce4e5b9
@@ -438,6 +434,114 @@ func TestTraceModesAgreeOnRandomScenarios(t *testing.T) {
 			}
 			if string(dj) != string(sj) {
 				t.Errorf("fronts diverge:\ndense:  %s\nstream: %s", dj, sj)
+			}
+		})
+	}
+}
+
+// streamNoise mimics the noise package's per-rank substreams: each
+// rank's stream derives lazily from the root seed and advances once per
+// call with the step argument ignored, so the run's output depends on
+// the order in which the simulator draws noise. Each returned NoiseFunc
+// owns fresh state.
+func streamNoise(seed uint64, texec sim.Time) NoiseFunc {
+	states := make(map[int]*uint64)
+	return func(rank, _ int) sim.Time {
+		st, ok := states[rank]
+		if !ok {
+			v := seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15
+			st = &v
+			states[rank] = st
+		}
+		*st ^= *st << 13
+		*st ^= *st >> 7
+		*st ^= *st << 17
+		return texec * sim.Time(*st%89) / 1000
+	}
+}
+
+// TestSnapshotDeterministic requires a run to be a pure function of its
+// config and programs across the eager, rendezvous, torus and
+// memory-bound regimes: two runs from freshly built configs — stateful
+// stream noise included — must agree on end time, event count and the
+// full recorded trace byte for byte. (The name dates from the
+// checkpoint API; this is the property a checkpoint relied on.)
+func TestSnapshotDeterministic(t *testing.T) {
+	net, err := netmodel.NewHockney(sim.Micro(2), 3e9, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	texec := sim.Milli(3)
+	mustChain := func(n int, b topology.Boundary) equivTopology {
+		c, err := topology.NewChain(n, 1, topology.Bidirectional, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	torus, err := topology.Torus2D(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		makeCfg func() Config
+		progs   []Program
+	}{
+		{
+			name: "chain_eager_streamnoise",
+			makeCfg: func() Config {
+				return Config{Ranks: 24, Net: net, Noise: streamNoise(42, texec)}
+			},
+			progs: equivPrograms(mustChain(24, topology.Open), 5, texec, 8192, 12, 1, 5*texec, 0),
+		},
+		{
+			name: "ring_rendezvous",
+			makeCfg: func() Config {
+				return Config{Ranks: 16, Net: net, Progress: IndependentRendezvous}
+			},
+			progs: equivPrograms(mustChain(16, topology.Periodic), 5, texec, 200_000, 3, 1, 5*texec, 0),
+		},
+		{
+			name: "torus_purenoise",
+			makeCfg: func() Config {
+				return Config{Ranks: 16, Net: net, Noise: equivNoise(texec)}
+			},
+			progs: equivPrograms(torus, 5, texec, 8192, 5, 1, 5*texec, 0),
+		},
+		{
+			name: "chain_membound",
+			makeCfg: func() Config {
+				return Config{
+					Ranks: 16, Net: net,
+					SocketOf:        func(rank int) int { return rank / 4 },
+					SocketBandwidth: 40e9,
+					CoreBandwidth:   8e9,
+				}
+			},
+			progs: equivPrograms(mustChain(16, topology.Open), 5, texec, 8192, 8, 1, 5*texec, 5e6),
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var ends [2]sim.Time
+			var events [2]uint64
+			var traces [2][]byte
+			for i := range traces {
+				res, err := Run(c.makeCfg(), c.progs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if traces[i], err = json.Marshal(res.Traces); err != nil {
+					t.Fatal(err)
+				}
+				ends[i], events[i] = res.End, res.Events
+			}
+			if ends[0] != ends[1] || events[0] != events[1] {
+				t.Errorf("runs disagree: end %v vs %v, %d vs %d events", ends[0], ends[1], events[0], events[1])
+			}
+			if string(traces[0]) != string(traces[1]) {
+				t.Errorf("identical runs recorded different traces (%d vs %d bytes)", len(traces[0]), len(traces[1]))
 			}
 		})
 	}

@@ -46,23 +46,25 @@
 //
 // # Allocation discipline and sparse state
 //
-// The simulator is the hot path of every sweep point, so its per-event
-// bookkeeping is pooled and indexed: requests and eager messages come
-// from per-simulation free lists (recycled when their Waitall epoch
-// ends, or when the message is consumed), Waitall progress is an O(1)
+// The simulator is the hot path of every sweep point, so its per-rank
+// state lives in run-scoped slabs sized from the programs during
+// validation. Each rank's requests occupy a fixed window of one
+// per-simulation request slab, as long as its largest Waitall epoch;
+// the window rewinds when the epoch ends. Each rank's matching state is
+// one flat, arrival-ordered list of records (posted receives,
+// unexpected eager data, unexpected rendezvous handshakes) carved from
+// one record slab. Eager messages in flight come from a per-simulation
+// free list and return to it on delivery. Waitall progress is an O(1)
 // counter-and-watermark check instead of an O(pending) rescan, and all
-// hot events go through the engine's typed-callback form so no capture
+// hot events go through the engine's typed-callback form, so no capture
 // closures are allocated.
 //
-// Per-rank state is additionally kept sparse, so one scenario scales to
-// 10^5-10^6 ranks: matcher channels live in small per-rank linear lists
-// whose backing storage is recycled to a shared pool the moment a rank's
-// last channel drains (a quiet rank holds no matching state at all),
-// the finite-eager-buffer tracker keeps one small active-receiver list
-// per sender instead of a ranks x ranks matrix (exact at any rank
-// count), and memory-bandwidth sockets materialize on first touch only.
-// See docs/ARCHITECTURE.md, "Engine internals & performance" and
-// "Scaling to 10^5 ranks".
+// State is therefore proportional to ranks x requests per epoch, which
+// the programs already exceed, and never to ranks squared: the
+// finite-eager-buffer tracker keeps one small active-receiver list per
+// sender instead of a ranks x ranks matrix, and memory-bandwidth
+// sockets materialize on first touch only. See docs/ARCHITECTURE.md,
+// "Engine internals & performance" and "Scaling to 10^5 ranks".
 package mpisim
 
 import (
@@ -186,12 +188,6 @@ type Program []Op
 
 // NoiseFunc returns extra execution time injected into the given rank's
 // execution phase of the given step (fine-grained noise, Eq. 3).
-//
-// For snapshot/restore to reproduce a run byte-identically, a NoiseFunc
-// must be either a pure function of (rank, step) or draw one sample per
-// call from a per-rank stream in call order — the two shapes every
-// injector in internal/noise has. Restore fast-forwards stateful streams
-// by replaying each rank's recorded draw count.
 type NoiseFunc func(rank, step int) sim.Time
 
 // Config parameterizes a simulation run.
@@ -272,144 +268,73 @@ const (
 	stDone
 )
 
-// request is one posted non-blocking operation. Requests come from the
-// simulation's free list and are recycled when their owner's Waitall
-// epoch ends — by which point both sides of any match have completed, so
-// no stale reference can observe a reused object.
+// request is one posted non-blocking operation. A rank's requests live
+// in a fixed window of the simulation's request slab, and the window
+// rewinds when the rank's Waitall epoch ends — by which point both sides
+// of any match have completed, so no stale reference can observe a
+// reused slot.
 type request struct {
-	owner  *rank
-	isSend bool
-	peer   int
-	bytes  int
-	tag    int
-	proto  netmodel.Protocol
+	owner *rank
+	match *request // rendezvous counterpart once matched
+	peer  int
+	bytes int
+	tag   int
+	proto netmodel.Protocol
 
-	done   bool
-	doneAt sim.Time
-
-	// rendezvous state
-	match           *request // linked counterpart once matched
+	isSend          bool
+	done            bool
 	transferStarted bool
 }
 
-// eagerMsg is a buffered eager message in flight or waiting unmatched at
-// the receiver. Pooled per simulation; recycled when matched.
+// eagerMsg is a buffered eager message in flight to its receiver.
+// Pooled per simulation; recycled on delivery.
 type eagerMsg struct {
 	s                    *simulation
 	from, to, tag, bytes int
 	arriveAt             sim.Time
 }
 
-// matchKey identifies one FIFO matching channel at a receiver: the
-// sending peer and the message tag. Matching in this simulator is always
-// exact on both (no wildcards), so indexing by key preserves MPI's
-// per-(source, tag) FIFO ordering.
-type matchKey struct{ peer, tag int }
+// recKind says what a matching record holds.
+type recKind uint8
 
-// fifo is a head-indexed FIFO that reuses its backing array: popping
-// advances head, and when the queue empties both head and length reset
-// so the next push writes at the front again.
-type fifo[T any] struct {
-	items []T
-	head  int
+const (
+	recPosted recKind = iota // a receive posted before its data
+	recEager                 // eager data that arrived before its receive
+	recRTS                   // a rendezvous handshake that arrived before its receive
+)
+
+// matchRec is one entry of a rank's matching state: the sending peer and
+// tag of its (source, tag) channel, the request behind a posted receive
+// or a rendezvous handshake, and, for eager data, the message's size,
+// which its receive overhead is charged on.
+type matchRec struct {
+	req   *request
+	tag   int
+	bytes int
+	peer  int32
+	kind  recKind
 }
 
-func (q *fifo[T]) empty() bool { return q.head == len(q.items) }
+// matchList is a rank's matching state: one flat list of records in
+// arrival order. A rank only ever has a handful in flight (its topology
+// neighbors times the tags of the current steps), so a linear scan beats
+// any index. Matching is always exact on (source, tag), and the first
+// record of a kind on a channel is the oldest, so arrival order gives
+// MPI's per-channel FIFO.
+type matchList []matchRec
 
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release the slot's reference
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
-}
-
-// live returns the queued items in FIFO order (checkpoint iteration).
-func (q *fifo[T]) live() []T { return q.items[q.head:] }
-
-// matchSlot holds one (peer, tag) channel's three queues: receives posted
-// before the data, eager messages that arrived before their receive, and
-// rendezvous handshakes awaiting a receive. Slots are pooled and returned
-// to the simulation when all three queues drain (tags are per-step, so a
-// slot's key rarely recurs once its step completes).
-type matchSlot struct {
-	postedRecvs fifo[*request]
-	unexpEager  fifo[*eagerMsg]
-	unexpRTS    fifo[*request]
-}
-
-func (sl *matchSlot) empty() bool {
-	return sl.postedRecvs.empty() && sl.unexpEager.empty() && sl.unexpRTS.empty()
-}
-
-// matchEntry is one live channel of a rank's matcher.
-type matchEntry struct {
-	key  matchKey
-	slot *matchSlot
-}
-
-// matcher is the per-rank message-matching engine: the rank's live
-// (source, tag) channels in a small linear list. A rank only ever has a
-// handful of channels in flight at once (its topology neighbors times
-// the tags of the current step), so a linear scan beats a map lookup —
-// and, unlike a map, the backing storage is recycled to the simulation's
-// shared pool the moment the last channel drains, so a quiet rank holds
-// no matching state at all. FIFO order per channel is preserved inside
-// the slot; the entry list's own order is irrelevant (it is only ever
-// scanned for an exact key).
-type matcher struct {
-	entries []matchEntry
-}
-
-// find returns the channel's slot, or nil if the channel is not live.
-func (m *matcher) find(key matchKey) *matchSlot {
-	for i := range m.entries {
-		if m.entries[i].key == key {
-			return m.entries[i].slot
+// take removes and returns the first record of the given kind on the
+// (peer, tag) channel, keeping the rest in arrival order.
+func (l *matchList) take(kind recKind, peer, tag int) (matchRec, bool) {
+	recs := *l
+	for i := range recs {
+		if x := recs[i]; x.kind == kind && int(x.peer) == peer && x.tag == tag {
+			copy(recs[i:], recs[i+1:])
+			*l = recs[:len(recs)-1]
+			return x, true
 		}
 	}
-	return nil
-}
-
-// slot returns the channel's slot, creating one from the pool on demand.
-func (m *matcher) slot(s *simulation, key matchKey) *matchSlot {
-	if sl := m.find(key); sl != nil {
-		return sl
-	}
-	sl := s.newSlot()
-	if m.entries == nil {
-		m.entries = s.newEntryList()
-	}
-	m.entries = append(m.entries, matchEntry{key: key, slot: sl})
-	return sl
-}
-
-// release returns a fully drained slot to the pool and, when that was
-// the rank's last live channel, the entry list too. Call after popping.
-func (m *matcher) release(s *simulation, key matchKey, sl *matchSlot) {
-	if !sl.empty() {
-		return
-	}
-	for i := range m.entries {
-		if m.entries[i].key == key {
-			last := len(m.entries) - 1
-			m.entries[i] = m.entries[last]
-			m.entries[last] = matchEntry{}
-			m.entries = m.entries[:last]
-			break
-		}
-	}
-	s.freeSlots = append(s.freeSlots, sl)
-	if len(m.entries) == 0 && m.entries != nil {
-		s.freeEntryLists = append(s.freeEntryLists, m.entries[:0])
-		m.entries = nil
-	}
+	return matchRec{}, false
 }
 
 type rank struct {
@@ -418,8 +343,12 @@ type rank struct {
 	prog Program
 	pc   int
 
-	state   rankState
-	pending []*request // requests posted since the last Waitall
+	state rankState
+	// reqs is the rank's request window, as long as its largest Waitall
+	// epoch; reqs[:npend] were posted since the last Waitall.
+	reqs  []request
+	npend int
+	recs  matchList
 
 	// Waitall bookkeeping: outstanding counts pending requests whose
 	// completion has not been decided yet, and watermark is the latest
@@ -439,11 +368,6 @@ type rank struct {
 	phaseEnd   sim.Time
 	phaseStep  int
 	memFloor   sim.Time // fixed compute floor of a memory-bound phase
-
-	// noiseDraws counts how often the configured NoiseFunc has been
-	// sampled for this rank, so a restored run can fast-forward the
-	// rank's noise stream to exactly where the checkpoint left it.
-	noiseDraws uint64
 
 	rec *rankRecorder
 }
@@ -472,7 +396,6 @@ type simulation struct {
 	cfg     Config
 	engine  *sim.Engine
 	ranks   []rank // one backing array; event args point into it
-	match   []matcher
 	sockets map[int]*memband.Socket
 	// eager tracks outstanding eager messages per (from, to) pair for
 	// the finite-eager-buffer option; inactive (and free) otherwise.
@@ -480,16 +403,12 @@ type simulation struct {
 
 	// Shard view: this simulation owns global ranks [rankLo, rankHi).
 	// The serial engine owns everything (rankLo 0, shard nil). Per-rank
-	// indexed state (ranks, match, eager rows) is offset by rankLo;
+	// indexed state (ranks, eager rows) is offset by rankLo;
 	// rank ids in events, traces and messages stay global.
 	rankLo, rankHi int
 	shard          *shardLink
 
-	// free lists (see the package comment's allocation discipline)
-	freeReqs       []*request
-	freeMsgs       []*eagerMsg
-	freeSlots      []*matchSlot
-	freeEntryLists [][]matchEntry
+	freeMsgs []*eagerMsg // eager messages not in flight
 }
 
 // eagerTracker counts in-flight eager messages per (from, to) pair. It
@@ -566,22 +485,22 @@ func (t *eagerTracker) dec(from, to int) {
 	}
 }
 
-// newRequest takes a request from the pool and initializes it.
-func (s *simulation) newRequest(owner *rank, isSend bool, peer, bytes, tag int, proto netmodel.Protocol) *request {
-	var req *request
-	if n := len(s.freeReqs); n > 0 {
-		req = s.freeReqs[n-1]
-		s.freeReqs = s.freeReqs[:n-1]
-		*req = request{}
-	} else {
-		req = &request{}
-	}
-	req.owner = owner
-	req.isSend = isSend
+// newRequest takes the next slot of the rank's request window and
+// initializes it field by field (a whole-struct assignment compiles to a
+// block copy, which costs more than the few stores it replaces).
+func (r *rank) newRequest(isSend bool, peer, bytes, tag int, proto netmodel.Protocol) *request {
+	req := &r.reqs[r.npend]
+	r.npend++
+	r.outstanding++
+	req.owner = r
+	req.match = nil
 	req.peer = peer
 	req.bytes = bytes
 	req.tag = tag
 	req.proto = proto
+	req.isSend = isSend
+	req.done = false
+	req.transferStarted = false
 	return req
 }
 
@@ -600,86 +519,31 @@ func (s *simulation) newMsg(from, to, tag, bytes int, arriveAt sim.Time) *eagerM
 	return msg
 }
 
-func (s *simulation) freeMsg(msg *eagerMsg) { s.freeMsgs = append(s.freeMsgs, msg) }
-
-// newSlot takes a matcher slot from the pool.
-func (s *simulation) newSlot() *matchSlot {
-	if n := len(s.freeSlots); n > 0 {
-		sl := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return sl
-	}
-	return &matchSlot{}
+// rankShape is what validation learns about one rank's program: the
+// sizes of its request window and match list, and its recorder hints.
+type rankShape struct {
+	window int32 // largest Waitall epoch's Isend+Irecv count
+	recvs  int32 // largest Waitall epoch's Irecv count
+	// segments bounds the trace segments the program can record: a
+	// Compute (one exec segment, plus one noise segment when noise is
+	// configured), a Delay, an Isend (its send overhead) and a Waitall
+	// (its wait) each record one; an Irecv never does.
+	segments int32
+	steps    int32 // completed steps, one per Waitall
 }
 
-// newEntryList takes a matcher entry list from the pool. Lists circulate
-// between ranks as they go active and quiet, so the steady-state count
-// follows the active band, not the machine size.
-func (s *simulation) newEntryList() []matchEntry {
-	if n := len(s.freeEntryLists); n > 0 {
-		l := s.freeEntryLists[n-1]
-		s.freeEntryLists = s.freeEntryLists[:n-1]
-		return l
-	}
-	return make([]matchEntry, 0, 4)
-}
-
-// Sim is a resumable simulation: it exposes the event loop one step at a
-// time, so long runs can be checkpointed mid-flight (Snapshot/Restore)
-// or driven under external control. Run is the one-shot convenience
-// wrapper.
-type Sim struct {
-	sm       *simulation
-	finished bool
-}
-
-// New validates the configuration and programs and builds a simulation
-// ready to execute. No virtual time has passed yet; the initial rank
-// start events are scheduled at time zero.
-//
-// A resumable Sim always runs the serial event loop: its step-at-a-time
-// and Snapshot surfaces expose a single engine's queue, which a sharded
-// run does not have. Configurations requesting shards are rejected; use
-// Run (which parallelizes when eligible) or set Shards to 0.
-func New(cfg Config, programs []Program) (*Sim, error) {
-	if err := validate(cfg, programs); err != nil {
-		return nil, err
-	}
-	if cfg.Shards > 0 {
-		return nil, fmt.Errorf("mpisim: a resumable Sim cannot run sharded (Shards=%d); use Run, or set Shards to 0", cfg.Shards)
-	}
-	return newSerialSim(cfg, programs), nil
-}
-
-// newSerialSim builds a validated serial Sim with its rank start events
-// scheduled — the core of New, shared with Run's fallback path (which
-// has already validated and must not re-trip New's shard rejection).
-func newSerialSim(cfg Config, programs []Program) *Sim {
-	s := newSimulation(cfg, programs)
-	for i := range s.ranks {
-		s.engine.ScheduleCall(0, rankExecCall, &s.ranks[i])
-	}
-	return &Sim{sm: s}
-}
-
-// newSimulation builds the serial simulation skeleton shared by New and
-// Restore: ranks, matchers and recorders, without scheduling anything.
-func newSimulation(cfg Config, programs []Program) *simulation {
-	return newRangedSimulation(cfg, programs, 0, cfg.Ranks, nil)
-}
-
-// newRangedSimulation builds a simulation owning global ranks [lo, hi).
-// programs is always the full per-rank slice; the shard picks its window
-// out of it. A non-nil link marks the simulation as one shard of a
-// parallel run: cross-shard eager sends divert to the link's outbox and
-// wait intervals buffer in its wait list instead of firing OnWait.
-func newRangedSimulation(cfg Config, programs []Program, lo, hi int, link *shardLink) *simulation {
+// newRangedSimulation builds a simulation owning global ranks [lo, hi)
+// and schedules their start events. programs and shapes are always the
+// full per-rank slices; the shard picks its window out of them. A
+// non-nil link marks the simulation as one shard of a parallel run:
+// cross-shard eager sends divert to the link's outbox and wait
+// intervals buffer in its wait list instead of firing OnWait.
+func newRangedSimulation(cfg Config, programs []Program, shapes []rankShape, lo, hi int, link *shardLink) *simulation {
 	n := hi - lo
 	s := &simulation{
 		cfg:    cfg,
 		engine: &sim.Engine{},
 		ranks:  make([]rank, n),
-		match:  make([]matcher, n),
 		rankLo: lo,
 		rankHi: hi,
 		shard:  link,
@@ -687,55 +551,35 @@ func newRangedSimulation(cfg Config, programs []Program, lo, hi int, link *shard
 	if cfg.EagerMaxOutstanding > 0 {
 		s.eager.init(n)
 	}
+	// One request slab and one record slab for the whole range. A match
+	// list gets twice its largest epoch's receives, because a neighbor
+	// one step ahead can deliver the next epoch's messages early; a list
+	// that outgrows that reallocates alone.
+	var nreq, nrec int
+	for _, sh := range shapes[lo:hi] {
+		nreq += int(sh.window)
+		nrec += 2 * int(sh.recvs)
+	}
+	reqs := make([]request, nreq)
+	recs := make(matchList, nrec)
 	for i := range s.ranks {
 		r := &s.ranks[i]
+		sh := shapes[lo+i]
+		w, c := int(sh.window), 2*int(sh.recvs)
 		r.id = lo + i
 		r.s = s
 		r.prog = programs[lo+i]
-		r.rec = newRankRecorder(cfg, programs[lo+i], lo+i)
+		r.reqs, reqs = reqs[:w:w], reqs[w:]
+		r.recs, recs = recs[:0:c], recs[c:]
+		switch cfg.Trace {
+		case TraceSteps:
+			r.rec = &rankRecorder{rec: trace.NewRecorderSized(r.id, 0, int(sh.steps))}
+		case TraceFull:
+			r.rec = &rankRecorder{rec: trace.NewRecorderSized(r.id, int(sh.segments), int(sh.steps)), segs: true}
+		}
+		s.engine.ScheduleCall(0, rankExecCall, r)
 	}
 	return s
-}
-
-// newRankRecorder builds the recorder matching the configured TraceMode
-// (nil under TraceOff).
-func newRankRecorder(cfg Config, p Program, rank int) *rankRecorder {
-	switch cfg.Trace {
-	case TraceOff:
-		return nil
-	case TraceSteps:
-		_, steps := programShape(p, false)
-		return &rankRecorder{rec: trace.NewRecorderSized(rank, 0, steps)}
-	default:
-		segHint, stepHint := programShape(p, cfg.Noise != nil)
-		return &rankRecorder{rec: trace.NewRecorderSized(rank, segHint, stepHint), segs: true}
-	}
-}
-
-// Step executes the next pending event, if any, and reports whether one
-// ran. Snapshot may be called between steps.
-func (x *Sim) Step() bool { return x.sm.engine.Step() }
-
-// Now returns the current virtual time.
-func (x *Sim) Now() sim.Time { return x.sm.engine.Now() }
-
-// Executed returns the number of events executed so far.
-func (x *Sim) Executed() uint64 { return x.sm.engine.Executed() }
-
-// Pending returns the number of events still scheduled.
-func (x *Sim) Pending() int { return x.sm.engine.Pending() }
-
-// Finish drains the remaining events and assembles the Result. It
-// reports a deadlock error if any rank is still blocked when no events
-// remain. Finish may be called at most once.
-func (x *Sim) Finish() (*Result, error) {
-	if x.finished {
-		return nil, fmt.Errorf("mpisim: Finish called twice")
-	}
-	x.finished = true
-	s := x.sm
-	end := s.engine.Run()
-	return assembleResult(s.cfg, []*simulation{s}, end, s.engine.Executed())
 }
 
 // assembleResult runs the deadlock check and builds the Result over the
@@ -777,108 +621,120 @@ func assembleResult(cfg Config, parts []*simulation, end sim.Time, events uint64
 // the eligible parallel plan (see shard.go) and falls back to the serial
 // engine otherwise; either way the result is byte-identical to Shards: 0.
 func Run(cfg Config, programs []Program) (*Result, error) {
-	if err := validate(cfg, programs); err != nil {
+	shapes, err := validate(cfg, programs)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Shards > 0 {
-		return runSharded(cfg, programs)
+		return runSharded(cfg, programs, shapes)
 	}
-	return newSerialSim(cfg, programs).Finish()
+	return runSerial(cfg, programs, shapes)
 }
 
-// programShape estimates a program's trace footprint for recorder
-// presizing: an upper bound on the segment count and the number of
-// completed steps (one per Waitall). Only the ops that can record a
-// segment count: a Compute (one exec segment, plus one noise segment
-// when noise is configured), a Delay, an Isend (its send overhead) and
-// a Waitall (its wait). An Irecv never records one.
-func programShape(p Program, noisy bool) (segments, steps int) {
-	for _, op := range p {
-		switch op.(type) {
-		case Compute:
-			segments++
-			if noisy {
-				segments++
-			}
-		case Delay, Isend:
-			segments++
-		case Waitall:
-			segments++
-			steps++
-		}
-	}
-	return segments, steps
+// runSerial builds the one-engine simulation over every rank and drains
+// it. The caller has already validated.
+func runSerial(cfg Config, programs []Program, shapes []rankShape) (*Result, error) {
+	s := newRangedSimulation(cfg, programs, shapes, 0, cfg.Ranks, nil)
+	end := s.engine.Run()
+	return assembleResult(cfg, []*simulation{s}, end, s.engine.Executed())
 }
 
-func validate(cfg Config, programs []Program) error {
+// validate checks the configuration and programs and, in the same walk
+// over every op, measures each rank's shape.
+func validate(cfg Config, programs []Program) ([]rankShape, error) {
 	if cfg.Ranks <= 0 {
-		return fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
+		return nil, fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
 	}
 	if cfg.Net == nil {
-		return fmt.Errorf("mpisim: nil network model")
+		return nil, fmt.Errorf("mpisim: nil network model")
 	}
 	if len(programs) != cfg.Ranks {
-		return fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
+		return nil, fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
 	}
 	if cfg.EagerMaxOutstanding < 0 {
-		return fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
+		return nil, fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
 	}
 	if cfg.CoreBandwidth < 0 {
-		return fmt.Errorf("mpisim: negative core bandwidth %g", cfg.CoreBandwidth)
+		return nil, fmt.Errorf("mpisim: negative core bandwidth %g", cfg.CoreBandwidth)
 	}
 	if cfg.Trace < TraceFull || cfg.Trace > TraceOff {
-		return fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
+		return nil, fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
 	}
 	if cfg.Shards < 0 {
-		return fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
+		return nil, fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
 	}
 	if cfg.NoiseFactory != nil && cfg.Noise == nil {
-		return fmt.Errorf("mpisim: NoiseFactory set without Noise")
+		return nil, fmt.Errorf("mpisim: NoiseFactory set without Noise")
 	}
+	var computeSegs int32 = 1
+	if cfg.Noise != nil {
+		computeSegs = 2
+	}
+	shapes := make([]rankShape, cfg.Ranks)
 	needMem := false
 	for rnk, p := range programs {
+		sh := &shapes[rnk]
+		var reqs, recvs int32 // of the current epoch
 		for pc, op := range p {
 			switch op := op.(type) {
 			case Isend:
 				if op.To < 0 || op.To >= cfg.Ranks {
-					return fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
+					return nil, fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
 				}
 				if op.To == rnk {
-					return fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
+					return nil, fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
 				}
 				if op.Bytes < 0 {
-					return fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+					return nil, fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
 				}
+				reqs++
+				sh.segments++
 			case Irecv:
 				if op.From < 0 || op.From >= cfg.Ranks {
-					return fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
+					return nil, fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
 				}
 				if op.From == rnk {
-					return fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
+					return nil, fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
 				}
+				if op.Bytes < 0 {
+					return nil, fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+				}
+				reqs++
+				recvs++
 			case Compute:
 				if op.Duration < 0 || op.MemBytes < 0 {
-					return fmt.Errorf("mpisim: rank %d op %d negative compute", rnk, pc)
+					return nil, fmt.Errorf("mpisim: rank %d op %d negative compute", rnk, pc)
 				}
 				if op.MemBytes > 0 {
 					needMem = true
 				}
+				sh.segments += computeSegs
 			case Delay:
 				if op.Duration < 0 {
-					return fmt.Errorf("mpisim: rank %d op %d negative delay", rnk, pc)
+					return nil, fmt.Errorf("mpisim: rank %d op %d negative delay", rnk, pc)
 				}
+				sh.segments++
+			case Waitall:
+				sh.window = max(sh.window, reqs)
+				sh.recvs = max(sh.recvs, recvs)
+				reqs, recvs = 0, 0
+				sh.segments++
+				sh.steps++
 			}
 		}
+		// A trailing epoch with no Waitall still posts its requests.
+		sh.window = max(sh.window, reqs)
+		sh.recvs = max(sh.recvs, recvs)
 	}
 	if needMem {
 		if cfg.SocketOf == nil {
-			return fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
+			return nil, fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
 		}
 		if cfg.SocketBandwidth <= 0 {
-			return fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
+			return nil, fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
 		}
 	}
-	return nil
+	return shapes, nil
 }
 
 // socket returns the rank group's bandwidth resource, materializing it
@@ -928,7 +784,6 @@ func rankComputeDone(arg any) {
 	var noise sim.Time
 	if s.cfg.Noise != nil {
 		noise = s.cfg.Noise(r.id, r.phaseStep)
-		r.noiseDraws++
 		if noise < 0 {
 			noise = 0
 		}
@@ -1041,9 +896,7 @@ func (r *rank) postSend(op Isend) sim.Time {
 		// rendezvous transfer (the paper's footnote 1).
 		proto = netmodel.Rendezvous
 	}
-	req := s.newRequest(r, true, op.To, op.Bytes, op.Tag, proto)
-	r.pending = append(r.pending, req)
-	r.outstanding++
+	req := r.newRequest(true, op.To, op.Bytes, op.Tag, proto)
 	oSend := s.cfg.Net.SendOverhead(r.id, op.To, op.Bytes)
 
 	if proto == netmodel.Eager {
@@ -1069,71 +922,54 @@ func (r *rank) postSend(op Isend) sim.Time {
 		return oSend
 	}
 
-	// Rendezvous: announce the send to the receiver's matcher (RTS).
+	// Rendezvous: announce the send to the receiver's match list (RTS).
 	s.matchRTS(req)
 	return oSend
 }
 
-// postRecv posts a non-blocking receive.
+// postRecv posts a non-blocking receive. Unexpected eager data on the
+// channel is preferred over a queued rendezvous handshake (see "Matching
+// order" in the package comment); with neither, the receive waits in the
+// match list.
 func (r *rank) postRecv(op Irecv) {
 	s := r.s
-	req := s.newRequest(r, false, op.From, op.Bytes, op.Tag, 0)
-	r.pending = append(r.pending, req)
-	r.outstanding++
-	m := &s.match[r.id-s.rankLo]
-	key := matchKey{op.From, op.Tag}
-	if sl := m.find(key); sl != nil {
-		// Unexpected eager message already here? (Preferred over a queued
-		// rendezvous handshake for the same channel — see "Matching
-		// order" in the package comment.)
-		if !sl.unexpEager.empty() {
-			msg := sl.unexpEager.pop()
-			m.release(s, key, sl)
-			s.eagerDec(msg.from, msg.to)
-			oRecv := s.cfg.Net.RecvOverhead(op.From, r.id, op.Bytes)
-			s.complete(req, s.engine.Now()+oRecv)
-			s.freeMsg(msg)
-			return
-		}
-		// Pending rendezvous handshake?
-		if !sl.unexpRTS.empty() {
-			send := sl.unexpRTS.pop()
-			m.release(s, key, sl)
-			s.link(send, req)
-			return
-		}
+	req := r.newRequest(false, op.From, op.Bytes, op.Tag, 0)
+	if rec, ok := r.recs.take(recEager, op.From, op.Tag); ok {
+		s.eagerDec(op.From, r.id)
+		s.complete(req, s.engine.Now()+s.cfg.Net.RecvOverhead(op.From, r.id, rec.bytes))
+		return
 	}
-	m.slot(s, key).postedRecvs.push(req)
+	if rec, ok := r.recs.take(recRTS, op.From, op.Tag); ok {
+		s.link(rec.req, req)
+		return
+	}
+	r.recs = append(r.recs, matchRec{req: req, tag: op.Tag, peer: int32(op.From), kind: recPosted})
 }
 
 // deliverEager runs at an eager message's arrival time at the receiver.
+// The message object goes back to the pool either way: unmatched data
+// waits as a record.
 func (s *simulation) deliverEager(msg *eagerMsg) {
-	m := &s.match[msg.to-s.rankLo]
-	key := matchKey{msg.from, msg.tag}
-	if sl := m.find(key); sl != nil && !sl.postedRecvs.empty() {
-		recv := sl.postedRecvs.pop()
-		m.release(s, key, sl)
-		s.eagerDec(msg.from, msg.to)
-		oRecv := s.cfg.Net.RecvOverhead(msg.from, msg.to, msg.bytes)
-		s.complete(recv, s.engine.Now()+oRecv)
-		s.freeMsg(msg)
+	from, to, tag, bytes := msg.from, msg.to, msg.tag, msg.bytes
+	s.freeMsgs = append(s.freeMsgs, msg)
+	r := &s.ranks[to-s.rankLo]
+	if rec, ok := r.recs.take(recPosted, from, tag); ok {
+		s.eagerDec(from, to)
+		s.complete(rec.req, s.engine.Now()+s.cfg.Net.RecvOverhead(from, to, bytes))
 		return
 	}
-	m.slot(s, key).unexpEager.push(msg)
+	r.recs = append(r.recs, matchRec{tag: tag, bytes: bytes, peer: int32(from), kind: recEager})
 }
 
 // matchRTS tries to match a freshly posted rendezvous send against the
 // receiver's posted receives; otherwise it queues the handshake.
 func (s *simulation) matchRTS(send *request) {
-	m := &s.match[send.peer-s.rankLo]
-	key := matchKey{send.owner.id, send.tag}
-	if sl := m.find(key); sl != nil && !sl.postedRecvs.empty() {
-		recv := sl.postedRecvs.pop()
-		m.release(s, key, sl)
-		s.link(send, recv)
+	r := &s.ranks[send.peer-s.rankLo]
+	if rec, ok := r.recs.take(recPosted, send.owner.id, send.tag); ok {
+		s.link(send, rec.req)
 		return
 	}
-	m.slot(s, key).unexpRTS.push(send)
+	r.recs = append(r.recs, matchRec{req: send, tag: send.tag, peer: int32(send.owner.id), kind: recRTS})
 }
 
 // link connects a rendezvous send to its matching receive and updates the
@@ -1162,8 +998,8 @@ func (s *simulation) link(send, recv *request) {
 // startRendezvousTransfers begins every matched, unstarted rendezvous
 // transfer of the rank's current epoch (gate open).
 func (r *rank) startRendezvousTransfers() {
-	for _, req := range r.pending {
-		if req.isSend && req.proto == netmodel.Rendezvous && req.match != nil && !req.transferStarted {
+	for i := range r.reqs[:r.npend] {
+		if req := &r.reqs[i]; req.isSend && req.proto == netmodel.Rendezvous && req.match != nil && !req.transferStarted {
 			r.s.startTransfer(req)
 		}
 	}
@@ -1210,7 +1046,6 @@ func (s *simulation) complete(req *request, at sim.Time) {
 		panic(fmt.Sprintf("mpisim: double completion of request on rank %d", req.owner.id))
 	}
 	req.done = true
-	req.doneAt = at
 	owner := req.owner
 	owner.outstanding--
 	if at > owner.watermark {
@@ -1228,8 +1063,8 @@ func (r *rank) enterWait(op Waitall) {
 
 	if s.cfg.Progress == GatedRendezvous {
 		r.gateRemaining = 0
-		for _, req := range r.pending {
-			if req.isSend && req.proto == netmodel.Rendezvous && req.match == nil {
+		for i := range r.reqs[:r.npend] {
+			if req := &r.reqs[i]; req.isSend && req.proto == netmodel.Rendezvous && req.match == nil {
 				r.gateRemaining++
 			}
 		}
@@ -1237,8 +1072,8 @@ func (r *rank) enterWait(op Waitall) {
 			r.startRendezvousTransfers()
 		}
 	} else {
-		for _, req := range r.pending {
-			if req.isSend && req.proto == netmodel.Rendezvous && req.match != nil {
+		for i := range r.reqs[:r.npend] {
+			if req := &r.reqs[i]; req.isSend && req.proto == netmodel.Rendezvous && req.match != nil {
 				s.startTransfer(req)
 			}
 		}
@@ -1277,10 +1112,8 @@ func (r *rank) progressWait() {
 	}
 	r.endStep(r.waitStep, now)
 	// The epoch is over: both sides of every match have completed, so
-	// the requests can go back to the pool for the next epoch.
-	s := r.s
-	s.freeReqs = append(s.freeReqs, r.pending...)
-	r.pending = r.pending[:0]
+	// the next epoch can reuse the window.
+	r.npend = 0
 	r.watermark = 0
 	r.state = stRunning
 	r.exec()

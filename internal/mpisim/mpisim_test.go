@@ -463,6 +463,7 @@ func TestValidationErrors(t *testing.T) {
 		{"negative bytes", Config{Ranks: 2, Net: net}, []Program{{Isend{To: 1, Bytes: -1}}, {}}},
 		{"recv out of range", Config{Ranks: 1, Net: net}, []Program{{Irecv{From: -1}}}},
 		{"recv from self", Config{Ranks: 2, Net: net}, []Program{{Irecv{From: 0}}, {}}},
+		{"negative recv bytes", Config{Ranks: 2, Net: net}, []Program{{Irecv{From: 1, Bytes: -1}}, {}}},
 		{"negative compute", Config{Ranks: 1, Net: net}, []Program{{Compute{Duration: -1}}}},
 		{"negative delay", Config{Ranks: 1, Net: net}, []Program{{Delay{Duration: -1}}}},
 		{"negative eager bound", Config{Ranks: 1, Net: net, EagerMaxOutstanding: -1}, []Program{{}}},
@@ -476,6 +477,98 @@ func TestValidationErrors(t *testing.T) {
 				t.Errorf("%s: no error", c.name)
 			}
 		})
+	}
+}
+
+// loggopsNet is a LogGOPS model with L = o = 1 µs and a per-byte
+// overhead of 1 ns/B, so receive overheads depend visibly on size.
+func loggopsNet(t *testing.T) netmodel.Model {
+	t.Helper()
+	net, err := netmodel.NewLogGOPS(sim.Micro(1), sim.Micro(1), sim.Micro(1), 0, 1e-9, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestNegativeIrecvSizeRejected pins that a negative receive size is a
+// validation error, with the Isend wording, rather than a negative
+// receive overhead that schedules an event in the past. The receive is
+// posted 1 ms after its message arrived, where a -10 MB size at 1 ns/B
+// would land its completion 9 ms before now.
+func TestNegativeIrecvSizeRejected(t *testing.T) {
+	progs := []Program{
+		{Isend{To: 1, Bytes: 1000}, Waitall{}},
+		{Delay{Duration: sim.Milli(1)}, Irecv{From: 0, Bytes: -10_000_000}, Waitall{}},
+	}
+	_, err := Run(Config{Ranks: 2, Net: loggopsNet(t)}, progs)
+	if err == nil || err.Error() != "mpisim: rank 1 op 1 negative message size" {
+		t.Fatalf("Run = %v, want the negative message size error", err)
+	}
+}
+
+// TestEagerRecvOverheadChargesMessageSize pins that an eager receive is
+// charged on the message's size whether the data arrives before or
+// after the receive is posted. A 1000-byte message goes into a
+// 1,000,000-byte receive: sent at 0, it pays 2 µs of send overhead and
+// 1 µs on the wire, and the receive overhead is o + 1000 B x 1 ns/B =
+// 2 µs after arrival, or after a receive posted at 1 ms.
+func TestEagerRecvOverheadChargesMessageSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		late sim.Time
+		want sim.Time
+	}{
+		{"receive posted first", 0, sim.Micro(5)},
+		{"receive posted 1ms late", sim.Milli(1), sim.Milli(1) + sim.Micro(2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recv := Program{Irecv{From: 0, Bytes: 1_000_000}, Waitall{}}
+			if tc.late > 0 {
+				recv = append(Program{Delay{Duration: tc.late}}, recv...)
+			}
+			progs := []Program{{Isend{To: 1, Bytes: 1000}, Waitall{}}, recv}
+			res, err := Run(Config{Ranks: 2, Net: loggopsNet(t)}, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Traces.Ranks[1].StepEnd[0]; math.Abs(float64(got-tc.want)) > 1e-12 {
+				t.Errorf("receiver's Waitall ends at %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMatchListOverflowStaysPrivate runs a sender eight epochs ahead of
+// its receiver, so the receiver's match list (sized for two records)
+// must grow, while the next rank's list, carved from the same slab
+// right behind it, holds two posted receives. Growing must reallocate
+// only the overflowing list: every message still matches its own
+// receive in FIFO order, and nobody deadlocks.
+func TestMatchListOverflowStaysPrivate(t *testing.T) {
+	const epochs = 8
+	sender := Program{}
+	receiver := Program{Compute{Duration: 5 * texec}}
+	for s := 0; s < epochs; s++ {
+		sender = append(sender, Isend{To: 1, Bytes: 64 * (s + 1), Tag: s})
+		receiver = append(receiver, Irecv{From: 0, Bytes: 64 * (s + 1), Tag: s}, Waitall{Step: s})
+	}
+	sender = append(sender, Waitall{})
+	progs := []Program{
+		sender,
+		receiver,
+		{Irecv{From: 3, Bytes: 64, Tag: 0}, Irecv{From: 3, Bytes: 64, Tag: 1}, Waitall{}},
+		{Compute{Duration: 10 * texec}, Isend{To: 2, Bytes: 64, Tag: 1}, Isend{To: 2, Bytes: 64, Tag: 0}, Waitall{}},
+	}
+	res, err := Run(Config{Ranks: 4, Net: testNet(t)}, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.Traces.Ranks[1].StepEnd); got != epochs {
+		t.Fatalf("receiver completed %d epochs, want %d", got, epochs)
+	}
+	if got := res.Traces.Ranks[2].StepEnd[0]; got < 10*texec {
+		t.Errorf("rank 2 finished at %v, before its sender's data left at %v", got, 10*texec)
 	}
 }
 

@@ -103,7 +103,7 @@ type ShardDecision struct {
 // PlanShards validates the configuration and reports the execution plan
 // Run would use for it.
 func PlanShards(cfg Config, programs []Program) (ShardDecision, error) {
-	if err := validate(cfg, programs); err != nil {
+	if _, err := validate(cfg, programs); err != nil {
 		return ShardDecision{}, err
 	}
 	if cfg.Shards <= 0 {
@@ -292,10 +292,10 @@ func nearestCut(allowed []int, ideal int) int {
 // runSharded executes a Shards>0 run: the eligible parallel plan, or
 // the serial engine when planShards declines (byte-identical either
 // way). The caller has already validated.
-func runSharded(cfg Config, programs []Program) (*Result, error) {
+func runSharded(cfg Config, programs []Program, shapes []rankShape) (*Result, error) {
 	plan, _ := planShards(cfg, programs)
 	if plan == nil {
-		return newSerialSim(cfg, programs).Finish()
+		return runSerial(cfg, programs, shapes)
 	}
 	s := len(plan.bounds) - 1
 
@@ -305,11 +305,7 @@ func runSharded(cfg Config, programs []Program) (*Result, error) {
 		if s > 1 && cfg.NoiseFactory != nil {
 			scfg.Noise = cfg.NoiseFactory()
 		}
-		sm := newRangedSimulation(scfg, programs, plan.bounds[k], plan.bounds[k+1], &shardLink{})
-		for i := range sm.ranks {
-			sm.engine.ScheduleCall(0, rankExecCall, &sm.ranks[i])
-		}
-		sims[k] = sm
+		sims[k] = newRangedSimulation(scfg, programs, shapes, plan.bounds[k], plan.bounds[k+1], &shardLink{})
 	}
 
 	// Shard 0 runs inline on the coordinator goroutine; the rest get a

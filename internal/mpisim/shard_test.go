@@ -461,45 +461,6 @@ func TestShardPlanDecisions(t *testing.T) {
 	}
 }
 
-// TestShardRejectedByNewAndRestore pins the resumable-surface contract:
-// a sharded configuration cannot build a step-at-a-time Sim and cannot
-// receive a restored snapshot.
-func TestShardRejectedByNewAndRestore(t *testing.T) {
-	const ranks = 8
-	net := testNet(t)
-	topo, err := topology.NewChain(ranks, 1, topology.Bidirectional, topology.Open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progs := equivPrograms(topo, 2, sim.Milli(1), 8192, 0, 0, sim.Milli(1), 0)
-	cfg := Config{Ranks: ranks, Net: net, Shards: 2}
-
-	if _, err := New(cfg, progs); err == nil || !strings.Contains(err.Error(), "Shards") {
-		t.Fatalf("New accepted a sharded config (err=%v)", err)
-	}
-
-	// Take a serial snapshot, then try to restore it sharded.
-	serial := cfg
-	serial.Shards = 0
-	x, err := New(serial, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		x.Step()
-	}
-	var buf strings.Builder
-	if err := x.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(cfg, progs, strings.NewReader(buf.String())); err == nil || !strings.Contains(err.Error(), "Shards") {
-		t.Fatalf("Restore accepted a sharded config (err=%v)", err)
-	}
-	if _, err := Restore(serial, progs, strings.NewReader(buf.String())); err != nil {
-		t.Fatalf("serial restore of the same snapshot failed: %v", err)
-	}
-}
-
 // TestShardValidate pins the config-level errors.
 func TestShardValidate(t *testing.T) {
 	net := testNet(t)

@@ -52,7 +52,7 @@ func NewFromState(state [4]uint64) (*Rand, error) {
 	return &Rand{s: state}, nil
 }
 
-// State returns the current internal state, for checkpointing.
+// State returns the current internal state.
 func (r *Rand) State() [4]uint64 { return r.s }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

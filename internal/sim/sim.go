@@ -44,8 +44,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"time"
 )
 
@@ -87,12 +85,11 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // resource cancelling its own pending timer — must therefore drop their
 // handle when the event fires, which is the natural shape anyway.
 type Event struct {
-	at      Time
-	callFn  func(any) // callClosure for the closure form (Schedule)
-	arg     any       // the func() itself for the closure form
-	next    *Event    // the rest of this event's run
-	dead    bool
-	closure bool // scheduled by Schedule, so SnapshotEvents cannot name it
+	at     Time
+	callFn func(any) // callClosure for the closure form (Schedule)
+	arg    any       // the func() itself for the closure form
+	next   *Event    // the rest of this event's run
+	dead   bool
 }
 
 // entry is one heap slot: the event's ordering key, inline, so sifts
@@ -105,9 +102,6 @@ type entry struct {
 
 // arity is the heap's fan-out.
 const arity = 4
-
-// At returns the event's scheduled virtual time.
-func (e *Event) At() Time { return e.at }
 
 // Cancelled reports whether the event has been cancelled.
 func (e *Event) Cancelled() bool { return e.dead }
@@ -172,7 +166,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 		panic("sim: scheduling nil event function")
 	}
 	ev := e.schedule(at)
-	ev.callFn, ev.arg, ev.closure = callClosure, fn, true
+	ev.callFn, ev.arg = callClosure, fn
 	return ev
 }
 
@@ -186,7 +180,7 @@ func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) *Event {
 		panic("sim: scheduling nil event function")
 	}
 	ev := e.schedule(at)
-	ev.callFn, ev.arg, ev.closure = fn, arg, false
+	ev.callFn, ev.arg = fn, arg
 	return ev
 }
 
@@ -359,51 +353,6 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	return false
-}
-
-// SnapshotEvents visits every live (non-cancelled) pending event in
-// execution order — (time, insertion sequence) — for checkpointing. Only
-// typed-callback events can be externalized: an event scheduled in
-// closure form has no identifiable action, so visiting one returns an
-// error. The visit callback receives the event's scheduled time, its
-// typed callback and its argument; the caller is responsible for mapping
-// (fn, arg) pairs to a serializable identity.
-func (e *Engine) SnapshotEvents(visit func(at Time, fn func(any), arg any) error) error {
-	queued := append(slices.Clone(e.heap), e.lane[e.laneHead:]...)
-	sort.Slice(queued, func(i, j int) bool { return less(queued[i], queued[j]) })
-	for _, x := range queued {
-		for ev := x.ev; ev != nil; ev = ev.next {
-			if ev.dead {
-				continue
-			}
-			if ev.closure {
-				return fmt.Errorf("sim: cannot snapshot closure-form event at t=%v", ev.at)
-			}
-			if err := visit(ev.at, ev.callFn, ev.arg); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// RestoreClock sets a fresh engine's virtual clock and executed-event
-// counter to a checkpointed state. It refuses to run on an engine that
-// has already scheduled or executed anything: restore builds the world
-// from scratch, it does not merge into a live one. Events re-scheduled
-// after RestoreClock get fresh insertion sequences; scheduling them in
-// checkpointed execution order therefore preserves their relative order
-// exactly, which is what byte-identical resume requires.
-func (e *Engine) RestoreClock(now Time, executed uint64) error {
-	if e.now != 0 || e.executed != 0 || e.seq != 0 || e.Pending() != 0 {
-		return fmt.Errorf("sim: RestoreClock on a used engine")
-	}
-	if now < 0 {
-		return fmt.Errorf("sim: RestoreClock to negative time %v", now)
-	}
-	e.now = now
-	e.executed = executed
-	return nil
 }
 
 // less orders entries by time, then by insertion sequence (FIFO).

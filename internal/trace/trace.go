@@ -104,17 +104,6 @@ func NewRecorderSized(rank, segments, steps int) *Recorder {
 	return r
 }
 
-// NewRecorderFrom creates a recorder that continues a previously
-// accumulated trace — the restore half of a simulator checkpoint. The
-// trace's slices are copied, so the recorder does not alias its input.
-func NewRecorderFrom(t RankTrace) *Recorder {
-	return &Recorder{t: RankTrace{
-		Rank:     t.Rank,
-		Segments: append([]Segment(nil), t.Segments...),
-		StepEnd:  append([]sim.Time(nil), t.StepEnd...),
-	}}
-}
-
 // Add appends a segment. Zero-length segments are dropped: they carry no
 // information and would bloat timelines with clutter.
 func (r *Recorder) Add(kind Kind, start, end sim.Time, step int) {
