@@ -16,9 +16,10 @@
 //	idlewave -spec scenario.json -timeline
 //
 // The -spec flag runs the base scenario of a declarative spec document
-// (the JSON the sweep service consumes; see idlewave.ParseSpec) through
-// the same ad-hoc pipeline. "-" reads from stdin; only -timeline and
-// -workers compose with it.
+// (the JSON the sweep service consumes; see idlewave.ParseSpec). "-"
+// reads from stdin; only -timeline and -workers compose with it. The
+// ad-hoc scenario flags are another spelling of that base scenario:
+// idlewave turns them into one and runs it through the same decoder.
 //
 // The -topology flag (chain:<n>[:opts], grid:<e1>x<e2>[x...][:opts],
 // torus:<dims>[:opts]; opts are open, periodic, uni, bi, d=<k>) runs a
@@ -58,56 +59,43 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/workload"
+)
+
+var (
+	exp     = flag.String("exp", "", "experiment id (fig1..fig9, eq2)")
+	seed    = flag.Uint64("seed", 42, "random seed for noise and injections")
+	full    = flag.Bool("full", false, "run full (paper-scale) problem sizes")
+	workers = flag.Int("workers", 0, "sweep-engine worker pool size (0 = all cores)")
+	csv     = flag.Bool("csv", false, "print the data rows as CSV instead of the report")
+	list    = flag.Bool("list", false, "list available experiments")
+
+	topoSpec = flag.String("topology", "", "run an ad-hoc scenario on this topology (e.g. grid:16x16:periodic) instead of -exp")
+	wlSpec   = flag.String("workload", "", "run an ad-hoc scenario of this workload (e.g. lbm:40:cells=90, triad:18, divide:16) instead of -exp")
+	wlTopo   = flag.String("workload-topology", "", "rebind the -workload decomposition to this topology spec")
+	machSpec = flag.String("machine", "", "ad-hoc scenario: machine spec (emmy, meggie:noise=0, custom:lat=1.2us:bw=6.8GB/s:...)")
+	noiseSp  = flag.String("noise", "", "ad-hoc scenario: injected-noise profile spec (exp:1.5, periodic:500us@10ms, ...); replaces -E")
+	steps    = flag.Int("steps", 24, "ad-hoc scenario: time steps")
+	msgBytes = flag.Int("bytes", 8192, "ad-hoc scenario: message size per neighbor (bulk-sync only)")
+	noiseE   = flag.Float64("E", 0, "ad-hoc scenario: injected noise level")
+	delayAt  = flag.Int("delay-rank", -1, "ad-hoc scenario: delayed rank (-1 = topology center)")
+	delaySt  = flag.Int("delay-step", 1, "ad-hoc scenario: delayed step")
+	delayDur = flag.Duration("delay", 15*time.Millisecond, "ad-hoc scenario: injected delay (0 = none)")
+	timeline = flag.Bool("timeline", false, "ad-hoc scenario: render the rank-over-time timeline")
+	shards   = flag.Int("shards", 0, "ad-hoc scenario: parallel-DES shard count (0 = serial; results are byte-identical at any count)")
+	record   = flag.String("record", "", "ad-hoc scenario: write the executed per-rank timings to this trace v2 file (replay with -workload replay:<file>)")
+	specFile = flag.String("spec", "", "run the base scenario of a declarative spec document (\"-\" = stdin); replaces the ad-hoc flags")
 )
 
 func main() {
-	var (
-		exp     = flag.String("exp", "", "experiment id (fig1..fig9, eq2)")
-		seed    = flag.Uint64("seed", 42, "random seed for noise and injections")
-		full    = flag.Bool("full", false, "run full (paper-scale) problem sizes")
-		workers = flag.Int("workers", 0, "sweep-engine worker pool size (0 = all cores)")
-		csv     = flag.Bool("csv", false, "print the data rows as CSV instead of the report")
-		list    = flag.Bool("list", false, "list available experiments")
-
-		topoSpec = flag.String("topology", "", "run an ad-hoc scenario on this topology (e.g. grid:16x16:periodic) instead of -exp")
-		wlSpec   = flag.String("workload", "", "run an ad-hoc scenario of this workload (e.g. lbm:40:cells=90, triad:18, divide:16) instead of -exp")
-		wlTopo   = flag.String("workload-topology", "", "rebind the -workload decomposition to this topology spec")
-		machSpec = flag.String("machine", "", "ad-hoc scenario: machine spec (emmy, meggie:noise=0, custom:lat=1.2us:bw=6.8GB/s:...)")
-		noiseSp  = flag.String("noise", "", "ad-hoc scenario: injected-noise profile spec (exp:1.5, periodic:500us@10ms, ...); replaces -E")
-		steps    = flag.Int("steps", 24, "ad-hoc scenario: time steps")
-		bytes    = flag.Int("bytes", 8192, "ad-hoc scenario: message size per neighbor (bulk-sync only)")
-		noiseE   = flag.Float64("E", 0, "ad-hoc scenario: injected noise level")
-		delayAt  = flag.Int("delay-rank", -1, "ad-hoc scenario: delayed rank (-1 = topology center)")
-		delaySt  = flag.Int("delay-step", 1, "ad-hoc scenario: delayed step")
-		delayDur = flag.Duration("delay", 15*time.Millisecond, "ad-hoc scenario: injected delay (0 = none)")
-		timeline = flag.Bool("timeline", false, "ad-hoc scenario: render the rank-over-time timeline")
-		shards   = flag.Int("shards", 0, "ad-hoc scenario: parallel-DES shard count (0 = serial; results are byte-identical at any count)")
-		record   = flag.String("record", "", "ad-hoc scenario: write the executed per-rank timings to this trace v2 file (replay with -workload replay:<file>)")
-		specFile = flag.String("spec", "", "run the base scenario of a declarative spec document (\"-\" = stdin); replaces the ad-hoc flags")
-	)
 	flag.Parse()
 
 	if *specFile != "" {
 		// The spec document carries the whole scenario; reject every
 		// flag it supersedes instead of silently ignoring them.
-		var conflict []string
-		super := map[string]bool{
-			"exp": true, "topology": true, "workload": true, "workload-topology": true,
-			"machine": true, "noise": true, "steps": true, "bytes": true, "E": true,
-			"delay-rank": true, "delay-step": true, "delay": true, "seed": true, "shards": true,
-			"record": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if super[f.Name] {
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			fmt.Fprintf(os.Stderr, "idlewave: -spec replaces %s; edit the spec document instead\n", strings.Join(conflict, ", "))
-			os.Exit(2)
-		}
-		if err := runSpecFile(*specFile, *timeline); err != nil {
+		rejectConflicts("-spec replaces %s; edit the spec document instead",
+			"exp", "topology", "workload", "workload-topology", "machine", "noise",
+			"steps", "bytes", "E", "delay-rank", "delay-step", "delay", "seed", "shards", "record")
+		if err := runSpecFile(*specFile); err != nil {
 			fmt.Fprintf(os.Stderr, "idlewave: %v\n", err)
 			os.Exit(1)
 		}
@@ -133,12 +121,7 @@ func main() {
 	if *noiseSp != "" {
 		// The noise profile replaces the scalar level; reject an explicit
 		// -E instead of silently ignoring it.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "E" {
-				fmt.Fprintln(os.Stderr, "idlewave: -noise replaces -E; express the level as exp:<level>")
-				os.Exit(2)
-			}
-		})
+		rejectConflicts("-noise replaces %s; express the level as exp:<level>", "E")
 	}
 	if *wlTopo != "" && *wlSpec == "" {
 		fmt.Fprintln(os.Stderr, "idlewave: -workload-topology needs -workload")
@@ -147,12 +130,7 @@ func main() {
 	if *wlSpec != "" {
 		// The workload fixes its own message size; reject an explicit
 		// -bytes instead of silently running with the workload's.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "bytes" {
-				fmt.Fprintln(os.Stderr, "idlewave: -workload replaces -bytes; fold it into the workload spec (e.g. bulk:64:bytes=8192)")
-				os.Exit(2)
-			}
-		})
+		rejectConflicts("-workload replaces %s; fold it into the workload spec (e.g. bulk:64:bytes=8192)", "bytes")
 	}
 	if strings.HasPrefix(*wlSpec, "replay:") {
 		// A recorded trace fixes the whole scenario — machine, noise,
@@ -162,31 +140,11 @@ func main() {
 		// 15ms), so explicit overrides are rejected rather than layered
 		// on top. To vary a recorded run, use it as a mix part or edit
 		// the scenario it was recorded from.
-		var conflict []string
-		super := map[string]bool{
-			"machine": true, "noise": true, "E": true, "steps": true,
-			"delay": true, "delay-rank": true, "delay-step": true,
-			"seed": true, "workload-topology": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if super[f.Name] {
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			fmt.Fprintf(os.Stderr, "idlewave: -workload replay: restores the recorded scenario and replaces %s\n", strings.Join(conflict, ", "))
-			os.Exit(2)
-		}
+		rejectConflicts("-workload replay: restores the recorded scenario and replaces %s",
+			"machine", "noise", "E", "steps", "delay", "delay-rank", "delay-step", "seed", "workload-topology")
 	}
 	if adhoc {
-		if err := runScenario(scenarioFlags{
-			topoSpec: *topoSpec, wlSpec: *wlSpec, wlTopo: *wlTopo,
-			machSpec: *machSpec, noiseSpec: *noiseSp,
-			steps: *steps, bytes: *bytes,
-			delayAt: *delayAt, delayStep: *delaySt, delayDur: *delayDur,
-			noiseE: *noiseE, seed: *seed, timeline: *timeline, shards: *shards,
-			record: *record,
-		}); err != nil {
+		if err := runAdhoc(); err != nil {
 			fmt.Fprintf(os.Stderr, "idlewave: %v\n", err)
 			os.Exit(1)
 		}
@@ -210,102 +168,62 @@ func main() {
 	fmt.Print(rep.String())
 }
 
-type scenarioFlags struct {
-	topoSpec, wlSpec, wlTopo string
-	machSpec, noiseSpec      string
-	steps, bytes             int
-	delayAt, delayStep       int
-	delayDur                 time.Duration
-	noiseE                   float64
-	seed                     uint64
-	timeline                 bool
-	shards                   int
-	record                   string
-}
-
-// runScenario simulates one ad-hoc scenario — a bulk-synchronous run on
-// the given topology, or any workload parsed from the -workload syntax —
-// and prints the tracked wave front.
-func runScenario(f scenarioFlags) error {
-	if path, ok := strings.CutPrefix(f.wlSpec, "replay:"); ok {
+// runAdhoc simulates the ad-hoc scenario the flags describe — a
+// bulk-synchronous run on the given topology, or any workload parsed
+// from the -workload syntax — and prints the tracked wave front.
+func runAdhoc() error {
+	if path, ok := strings.CutPrefix(*wlSpec, "replay:"); ok {
 		// ReplayScenario restores the recorded machine (noise
 		// silenced), net model, seed and noise draws — the
-		// byte-identical replay path; main() already rejected the
-		// flags the recording supersedes.
+		// byte-identical replay path, which a spec cannot express;
+		// main() already rejected the flags the recording supersedes.
 		spec, err := idlewave.ReplayScenario(path)
 		if err != nil {
 			return err
 		}
-		spec.Shards = f.shards
-		spec.RecordTo = f.record
-		res, err := idlewave.Simulate(spec)
-		if err != nil {
-			return err
-		}
-		if f.record != "" {
-			fmt.Printf("recorded  %s\n", f.record)
-		}
-		return report(spec, res, false, false, f.timeline)
+		spec.Shards = *shards
+		return simulate(idlewave.SpecScenario{}, spec)
 	}
-	spec := idlewave.ScenarioSpec{NoiseLevel: f.noiseE, Seed: f.seed, Shards: f.shards, RecordTo: f.record}
-	if f.machSpec != "" {
-		m, err := idlewave.ParseMachine(f.machSpec)
-		if err != nil {
-			return err
-		}
-		spec.Machine = m
-	}
-	if f.noiseSpec != "" {
-		np, err := idlewave.ParseNoise(f.noiseSpec)
-		if err != nil {
-			return err
-		}
-		spec.Noise = np
-		spec.NoiseLevel = 0
-	}
-	if f.wlSpec != "" {
-		wl, err := workload.ParseWith(f.wlSpec, workload.Defaults{Steps: f.steps})
-		if err != nil {
-			return err
-		}
-		spec.Workload = wl
-		if f.wlTopo != "" {
-			topo, err := idlewave.ParseTopology(f.wlTopo)
-			if err != nil {
-				return err
-			}
-			spec.Topology = topo
-		}
-	} else {
-		topo, err := idlewave.ParseTopology(f.topoSpec)
-		if err != nil {
-			return err
-		}
-		spec.Topology = topo
-		spec.Steps = f.steps
-		spec.MessageBytes = f.bytes
-	}
-
-	if f.delayDur > 0 {
-		src, err := delaySource(spec, f.delayAt)
-		if err != nil {
-			return err
-		}
-		spec.Delay = []idlewave.Injection{idlewave.Inject(src, f.delayStep, f.delayDur)}
-	}
-	res, err := idlewave.Simulate(spec)
+	ws, err := flagScenario()
 	if err != nil {
 		return err
 	}
-	if f.record != "" {
-		fmt.Printf("recorded  %s\n", f.record)
+	spec, err := idlewave.ScenarioFromSpec(ws)
+	if err != nil {
+		return err
 	}
-	return report(spec, res, f.machSpec != "", f.noiseSpec != "", f.timeline)
+	return simulate(ws, spec)
+}
+
+// flagScenario spells the ad-hoc scenario flags as a wire scenario.
+func flagScenario() (idlewave.SpecScenario, error) {
+	ws := idlewave.SpecScenario{
+		Workload: *wlSpec, Topology: *topoSpec, Machine: *machSpec, Noise: *noiseSp,
+		// Steps is the default step count of a workload spec.
+		Steps: *steps, NoiseLevel: *noiseE, Seed: *seed, Shards: *shards,
+	}
+	if *wlSpec != "" {
+		ws.Topology = *wlTopo
+	} else {
+		ws.MessageBytes = *msgBytes
+	}
+	if *delayDur > 0 {
+		spec, err := idlewave.ScenarioFromSpec(ws)
+		if err != nil {
+			return ws, err
+		}
+		src, err := delaySource(spec, *delayAt)
+		if err != nil {
+			return ws, err
+		}
+		ws.Delay = []idlewave.SpecDelay{{Rank: src, Step: *delaySt, Duration: delayDur.String()}}
+	}
+	return ws, nil
 }
 
 // runSpecFile simulates the base scenario of a declarative spec
 // document ("-" = stdin) and prints the same ad-hoc report.
-func runSpecFile(path string, timeline bool) error {
+func runSpecFile(path string) error {
 	var (
 		data []byte
 		err  error
@@ -329,21 +247,31 @@ func runSpecFile(path string, timeline bool) error {
 	if err != nil {
 		return err
 	}
+	return simulate(ws.Base, spec)
+}
+
+// simulate runs spec, recording it to -record when set, and prints its
+// report; ws is the wire scenario it was decoded from.
+func simulate(ws idlewave.SpecScenario, spec idlewave.ScenarioSpec) error {
+	spec.RecordTo = *record
 	res, err := idlewave.Simulate(spec)
 	if err != nil {
 		return err
 	}
-	return report(spec, res, ws.Base.Machine != "", ws.Base.Noise != "", timeline)
+	if *record != "" {
+		fmt.Printf("recorded  %s\n", *record)
+	}
+	return report(ws, spec, res)
 }
 
-// report prints the ad-hoc scenario summary both flag-built and
-// spec-built runs share.
-func report(spec idlewave.ScenarioSpec, res *idlewave.Result, showMachine, showNoise, timeline bool) error {
+// report prints the ad-hoc scenario summary; its machine and noise
+// lines appear when the wire scenario ws names a machine or noise.
+func report(ws idlewave.SpecScenario, spec idlewave.ScenarioSpec, res *idlewave.Result) error {
 	fmt.Printf("workload  %v\n", res.Workload())
-	if showMachine {
+	if ws.Machine != "" {
 		fmt.Printf("machine   %s\n", spec.Machine.Name)
 	}
-	if showNoise {
+	if ws.Noise != "" {
 		fmt.Printf("noise     %v\n", spec.Noise)
 	}
 	if topo := res.Topology(); topo != nil {
@@ -368,7 +296,7 @@ func report(spec idlewave.ScenarioSpec, res *idlewave.Result, showMachine, showN
 			fmt.Println()
 		}
 	}
-	if timeline {
+	if *timeline {
 		return res.RenderTimeline(os.Stdout, 100)
 	}
 	return nil
@@ -395,4 +323,24 @@ func delaySource(spec idlewave.ScenarioSpec, delayAt int) (int, error) {
 		return g.Center(), nil
 	}
 	return topo.Ranks() / 2, nil
+}
+
+// rejectConflicts exits with a usage error when any of the named flags
+// was set explicitly; format spells the message around the list of
+// conflicting flags.
+func rejectConflicts(format string, names ...string) {
+	super := map[string]bool{}
+	for _, n := range names {
+		super[n] = true
+	}
+	var conflict []string
+	flag.Visit(func(f *flag.Flag) {
+		if super[f.Name] {
+			conflict = append(conflict, "-"+f.Name)
+		}
+	})
+	if len(conflict) > 0 {
+		fmt.Fprintf(os.Stderr, "idlewave: "+format+"\n", strings.Join(conflict, ", "))
+		os.Exit(2)
+	}
 }

@@ -14,15 +14,15 @@
 //	sweep -topology grid:16x16:periodic,chain:256:periodic -E 0,0.05
 //	sweep -workload triad:18,lbm:18:cells=90,divide:18 -metrics runtime,membw
 //	sweep -E 0,0.05 -format markdown
-//	sweep -E 0,0.05,0.1 -bench    # engine scaling demo: serial vs parallel
 //	sweep -spec sweep.json -format csv
 //
-// The -spec flag runs a declarative sweep spec (the JSON document the
-// sweep service consumes; see idlewave.ParseSpec) instead of the flag
-// axes, producing byte-identical output to the equivalent flags. "-"
-// reads the spec from stdin. Only the output flags (-format, -o), the
-// execution flags (-workers, -bench) and the profiling flags compose
-// with it; everything the spec describes is rejected as a conflict.
+// The scenario and axis flags are one spelling of a declarative sweep
+// spec (the JSON document the sweep service consumes; see
+// idlewave.ParseSpec): sweep turns them into that document and runs it
+// through the same decoder as -spec, which reads the document itself
+// ("-" = stdin). Only the output flags (-format, -o), the execution
+// flag -workers and the profiling flags compose with -spec; everything
+// the spec describes is rejected as a conflict.
 //
 // The -topology flag takes comma-separated topology specs
 // (chain:<n>[:opts], grid:<e1>x<e2>[x...][:opts], torus:<dims>[:opts];
@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,41 +62,40 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/profiling"
 	"repro/internal/viz"
-	"repro/internal/workload"
+)
+
+var (
+	ranks    = flag.Int("ranks", 24, "number of ranks")
+	steps    = flag.Int("steps", 26, "time steps")
+	texec    = flag.Duration("texec", 3*time.Millisecond, "execution phase length")
+	delayAt  = flag.Int("delay-rank", 0, "rank receiving the injected delay (-1 = none)")
+	delaySt  = flag.Int("delay-step", 2, "step receiving the injected delay")
+	delayDur = flag.Duration("delay", 15*time.Millisecond, "injected delay duration")
+	periodic = flag.Bool("periodic", true, "periodic (ring) boundary instead of open chain")
+	seed     = flag.Uint64("seed", 42, "random seed")
+
+	eList     = flag.String("E", "0", "comma-separated injected noise levels")
+	noiseList = flag.String("noise", "", "comma-separated noise profile specs (e.g. exp:0.5,periodic:500us@10ms,silent); replaces -E")
+	byteList  = flag.String("bytes", "8192", "comma-separated message sizes in bytes")
+	dList     = flag.String("d", "1", "comma-separated neighbor distances")
+	dirList   = flag.String("dir", "bi", "comma-separated directions: uni, bi")
+	topoList  = flag.String("topology", "", "comma-separated topology specs (e.g. grid:32x32:periodic); replaces -ranks/-d/-dir/-periodic")
+	wlList    = flag.String("workload", "", "comma-separated workload specs (e.g. triad:18,lbm:18:cells=90); replaces the shape and kernel flags")
+	machList  = flag.String("machine", "emmy", "comma-separated machine specs: emmy, meggie, simulated, all, or the ParseMachine syntax (e.g. custom:lat=1.2us:bw=6.8GB/s)")
+
+	metricsF = flag.String("metrics", "speed,decay,idle,runtime", "comma-separated metrics: speed, decay, idle, quiet, runtime, events, membw, steptime")
+	workers  = flag.Int("workers", 0, "worker pool size (0 = all cores)")
+	shards   = flag.Int("shards", 0, "parallel-DES shard count per grid point (0 = serial; results are byte-identical at any count)")
+	format   = flag.String("format", "table", "output format: table, csv, json or markdown")
+	outFile  = flag.String("o", "", "write output to a file instead of stdout")
+
+	specFile = flag.String("spec", "", "run a declarative sweep spec from this JSON file (\"-\" = stdin); replaces the scenario and axis flags")
+
+	cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memProf = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
 )
 
 func main() {
-	var (
-		ranks    = flag.Int("ranks", 24, "number of ranks")
-		steps    = flag.Int("steps", 26, "time steps")
-		texec    = flag.Duration("texec", 3*time.Millisecond, "execution phase length")
-		delayAt  = flag.Int("delay-rank", 0, "rank receiving the injected delay (-1 = none)")
-		delaySt  = flag.Int("delay-step", 2, "step receiving the injected delay")
-		delayDur = flag.Duration("delay", 15*time.Millisecond, "injected delay duration")
-		periodic = flag.Bool("periodic", true, "periodic (ring) boundary instead of open chain")
-		seed     = flag.Uint64("seed", 42, "random seed")
-
-		eList     = flag.String("E", "0", "comma-separated injected noise levels")
-		noiseList = flag.String("noise", "", "comma-separated noise profile specs (e.g. exp:0.5,periodic:500us@10ms,silent); replaces -E")
-		byteList  = flag.String("bytes", "8192", "comma-separated message sizes in bytes")
-		dList     = flag.String("d", "1", "comma-separated neighbor distances")
-		dirList   = flag.String("dir", "bi", "comma-separated directions: uni, bi")
-		topoList  = flag.String("topology", "", "comma-separated topology specs (e.g. grid:32x32:periodic); replaces -ranks/-d/-dir/-periodic")
-		wlList    = flag.String("workload", "", "comma-separated workload specs (e.g. triad:18,lbm:18:cells=90); replaces the shape and kernel flags")
-		machList  = flag.String("machine", "emmy", "comma-separated machine specs: emmy, meggie, simulated, all, or the ParseMachine syntax (e.g. custom:lat=1.2us:bw=6.8GB/s)")
-
-		metricsF = flag.String("metrics", "speed,decay,idle,runtime", "comma-separated metrics: speed, decay, idle, quiet, runtime, events, membw, steptime")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = all cores)")
-		shards   = flag.Int("shards", 0, "parallel-DES shard count per grid point (0 = serial; results are byte-identical at any count)")
-		format   = flag.String("format", "table", "output format: table, csv, json or markdown")
-		outFile  = flag.String("o", "", "write output to a file instead of stdout")
-		bench    = flag.Bool("bench", false, "time the grid with workers=1 and the requested pool, report the speedup")
-
-		specFile = flag.String("spec", "", "run a declarative sweep spec from this JSON file (\"-\" = stdin); replaces the scenario and axis flags")
-
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file when the sweep finishes")
-	)
 	flag.Parse()
 
 	if *specFile != "" {
@@ -129,24 +127,28 @@ func main() {
 		rejectConflicts("-noise", "express levels as exp:<level> noise specs", "E")
 	}
 
-	var spec idlewave.SweepSpec
-	var err error
+	var (
+		ws  *idlewave.Spec
+		err error
+	)
 	if *specFile != "" {
-		spec, err = loadSpec(*specFile, *workers)
+		ws, err = readSpec(*specFile)
 	} else {
-		spec, err = buildSpec(specFlags{
-			ranks: *ranks, steps: *steps, texec: *texec,
-			delayAt: *delayAt, delayStep: *delaySt, delayDur: *delayDur,
-			periodic: *periodic, seed: *seed,
-			eList: *eList, noiseList: *noiseList, byteList: *byteList, dList: *dList,
-			dirList: *dirList, topoList: *topoList, wlList: *wlList,
-			machList: *machList,
-			metrics:  *metricsF, workers: *workers, shards: *shards,
-		})
+		ws = flagSpec()
+	}
+	var spec idlewave.SweepSpec
+	if err == nil {
+		spec, err = idlewave.SweepFromSpec(ws)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
+	}
+	if *specFile == "" || isSet("workers") {
+		// An execution knob, not part of the sweep's content (the
+		// results are identical either way): an explicit -workers
+		// overrides a spec's worker count.
+		spec.Workers = *workers
 	}
 
 	switch *format {
@@ -162,18 +164,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *bench {
-		err := runBench(spec)
-		if perr := stopProf(); err == nil {
-			err = perr
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	tbl, err := idlewave.Sweep(spec)
@@ -213,11 +203,57 @@ func main() {
 	}
 }
 
-// loadSpec reads a declarative sweep spec ("-" = stdin) and builds the
-// runnable sweep from it. An explicit -workers flag overrides the
-// spec's worker count — an execution knob, not part of the sweep's
-// content (the results are identical either way).
-func loadSpec(path string, workers int) (idlewave.SweepSpec, error) {
+// flagSpec spells the sweep the scenario and axis flags describe as a
+// spec document: the machine axis, then the noise axis, then either the
+// workload axis or the message size axis followed by the topology axis
+// or the distance and direction axes.
+func flagSpec() *idlewave.Spec {
+	axis := func(kind, values string) idlewave.SpecAxis {
+		return idlewave.SpecAxis{Kind: kind, Values: strings.Split(values, ",")}
+	}
+	ws := &idlewave.Spec{
+		// Steps is also the default step count of every workload spec.
+		Base:    idlewave.SpecScenario{Steps: *steps, Seed: *seed, Shards: *shards},
+		Metrics: strings.Split(*metricsF, ","),
+	}
+	if *delayAt >= 0 {
+		ws.Base.Delay = []idlewave.SpecDelay{{Rank: *delayAt, Step: *delaySt, Duration: delayDur.String()}}
+	}
+	machines := axis("machine", *machList)
+	if *machList == "all" {
+		machines.Values = nil
+		for _, m := range cluster.All() {
+			machines.Values = append(machines.Values, m.Name)
+		}
+	}
+	ws.Axes = append(ws.Axes, machines)
+	if *noiseList != "" {
+		ws.Axes = append(ws.Axes, axis("noiseprofile", *noiseList))
+	} else {
+		ws.Axes = append(ws.Axes, axis("noise", *eList))
+	}
+	switch {
+	case *wlList != "":
+		// Each workload spec fixes its own shape, phase and message size.
+		ws.Axes = append(ws.Axes, axis("workload", *wlList))
+		return ws
+	case *topoList != "":
+		ws.Axes = append(ws.Axes, axis("bytes", *byteList), axis("topology", *topoList))
+	default:
+		ws.Axes = append(ws.Axes, axis("bytes", *byteList), axis("d", *dList), axis("direction", *dirList))
+	}
+	ws.Base.Ranks = *ranks
+	if *periodic {
+		ws.Base.Boundary = "periodic"
+	}
+	if *texec != 0 {
+		ws.Base.Texec = texec.String()
+	}
+	return ws
+}
+
+// readSpec reads a spec document from a file ("-" = stdin).
+func readSpec(path string) (*idlewave.Spec, error) {
 	var (
 		data []byte
 		err  error
@@ -228,22 +264,16 @@ func loadSpec(path string, workers int) (idlewave.SweepSpec, error) {
 		data, err = os.ReadFile(path)
 	}
 	if err != nil {
-		return idlewave.SweepSpec{}, err
+		return nil, err
 	}
-	ws, err := idlewave.ParseSpec(data)
-	if err != nil {
-		return idlewave.SweepSpec{}, err
-	}
-	spec, err := idlewave.SweepFromSpec(ws)
-	if err != nil {
-		return idlewave.SweepSpec{}, err
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			spec.Workers = workers
-		}
-	})
-	return spec, nil
+	return idlewave.ParseSpec(data)
+}
+
+// isSet reports whether the named flag was set explicitly.
+func isSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // rejectConflicts exits with a usage error when any of the named flags
@@ -264,217 +294,4 @@ func rejectConflicts(superseder, hint string, names ...string) {
 			superseder, strings.Join(conflict, ", "), hint)
 		os.Exit(1)
 	}
-}
-
-type specFlags struct {
-	ranks, steps       int
-	texec, delayDur    time.Duration
-	delayAt, delayStep int
-	periodic           bool
-	seed               uint64
-	eList, noiseList   string
-	byteList           string
-	dList, dirList     string
-	topoList, wlList   string
-	machList, metrics  string
-	workers            int
-	shards             int
-}
-
-func buildSpec(f specFlags) (idlewave.SweepSpec, error) {
-	var zero idlewave.SweepSpec
-	base := idlewave.ScenarioSpec{Seed: f.seed, Shards: f.shards}
-	if f.delayAt >= 0 {
-		base.Delay = []idlewave.Injection{idlewave.Inject(f.delayAt, f.delayStep, f.delayDur)}
-	}
-
-	var axes []idlewave.SweepAxis
-	machines, err := parseMachines(f.machList)
-	if err != nil {
-		return zero, err
-	}
-	axes = append(axes, idlewave.MachineAxis(machines...))
-	if f.noiseList != "" {
-		// A noise-profile axis supersedes the scalar E axis (main
-		// rejects explicit -E uses).
-		var ps []idlewave.NoiseProfile
-		for _, p := range strings.Split(f.noiseList, ",") {
-			np, err := idlewave.ParseNoise(strings.TrimSpace(p))
-			if err != nil {
-				return zero, fmt.Errorf("-noise: %w", err)
-			}
-			ps = append(ps, np)
-		}
-		axes = append(axes, idlewave.NoiseProfileAxis(ps...))
-	} else {
-		es, err := parseFloats(f.eList)
-		if err != nil {
-			return zero, fmt.Errorf("-E: %w", err)
-		}
-		axes = append(axes, idlewave.NoiseAxis(es...))
-	}
-
-	if f.wlList != "" {
-		// A workload axis supersedes both the chain shape flags and the
-		// kernel flags (main rejects explicit uses); only -steps is
-		// threaded through as the default step count of each spec.
-		var wls []idlewave.Workload
-		for _, p := range strings.Split(f.wlList, ",") {
-			wl, err := workload.ParseWith(p, workload.Defaults{Steps: f.steps})
-			if err != nil {
-				return zero, fmt.Errorf("-workload: %w", err)
-			}
-			wls = append(wls, wl)
-		}
-		axes = append(axes, idlewave.WorkloadAxis(wls...))
-		metrics, err := parseMetrics(f.metrics, f.delayAt)
-		if err != nil {
-			return zero, err
-		}
-		return idlewave.SweepSpec{Base: base, Axes: axes, Metrics: metrics, Workers: f.workers}, nil
-	}
-
-	base.Ranks = f.ranks
-	base.Steps = f.steps
-	base.Texec = f.texec
-	if f.periodic {
-		base.Boundary = idlewave.Periodic
-	}
-	bytes, err := parseInts(f.byteList)
-	if err != nil {
-		return zero, fmt.Errorf("-bytes: %w", err)
-	}
-	axes = append(axes, idlewave.MessageAxis(bytes...))
-	if f.topoList != "" {
-		// An explicit topology axis supersedes the chain-only flags
-		// (main rejects explicit -ranks/-periodic/-d/-dir uses).
-		var topos []idlewave.Topology
-		for _, p := range strings.Split(f.topoList, ",") {
-			tp, err := idlewave.ParseTopology(p)
-			if err != nil {
-				return zero, fmt.Errorf("-topology: %w", err)
-			}
-			topos = append(topos, tp)
-		}
-		axes = append(axes, idlewave.TopologyAxis(topos...))
-	} else {
-		ds, err := parseInts(f.dList)
-		if err != nil {
-			return zero, fmt.Errorf("-d: %w", err)
-		}
-		axes = append(axes, idlewave.DistanceAxis(ds...))
-		dirs, err := parseDirections(f.dirList)
-		if err != nil {
-			return zero, fmt.Errorf("-dir: %w", err)
-		}
-		axes = append(axes, idlewave.DirectionAxis(dirs...))
-	}
-
-	metrics, err := parseMetrics(f.metrics, f.delayAt)
-	if err != nil {
-		return zero, err
-	}
-	return idlewave.SweepSpec{Base: base, Axes: axes, Metrics: metrics, Workers: f.workers}, nil
-}
-
-func runBench(spec idlewave.SweepSpec) error {
-	points := 1
-	for _, ax := range spec.Axes {
-		points *= len(ax.Labels)
-	}
-	fmt.Printf("grid: %d points\n", points)
-
-	serial := spec
-	serial.Workers = 1
-	t0 := time.Now()
-	if _, err := idlewave.Sweep(serial); err != nil {
-		return err
-	}
-	tSerial := time.Since(t0)
-	fmt.Printf("workers=1: %v\n", tSerial.Round(time.Millisecond))
-
-	t0 = time.Now()
-	if _, err := idlewave.Sweep(spec); err != nil {
-		return err
-	}
-	tPar := time.Since(t0)
-	label := fmt.Sprint(spec.Workers)
-	if spec.Workers < 1 {
-		label = "all cores"
-	}
-	fmt.Printf("workers=%s: %v (%.2fx speedup)\n",
-		label, tPar.Round(time.Millisecond), tSerial.Seconds()/tPar.Seconds())
-	return nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseDirections(s string) ([]idlewave.Direction, error) {
-	var out []idlewave.Direction
-	for _, p := range strings.Split(s, ",") {
-		switch strings.TrimSpace(p) {
-		case "uni", "unidirectional":
-			out = append(out, idlewave.Unidirectional)
-		case "bi", "bidirectional":
-			out = append(out, idlewave.Bidirectional)
-		default:
-			return nil, fmt.Errorf("unknown direction %q (want uni or bi)", p)
-		}
-	}
-	return out, nil
-}
-
-func parseMachines(s string) ([]idlewave.Machine, error) {
-	if s == "all" {
-		return cluster.All(), nil
-	}
-	var out []idlewave.Machine
-	for _, p := range strings.Split(s, ",") {
-		m, err := idlewave.ParseMachine(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func parseMetrics(s string, delayAt int) ([]idlewave.Metric, error) {
-	src := delayAt
-	if src < 0 {
-		src = 0
-	}
-	var out []idlewave.Metric
-	for _, p := range strings.Split(s, ",") {
-		m, err := idlewave.MetricByName(p, src)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

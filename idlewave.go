@@ -449,26 +449,15 @@ func Simulate(spec ScenarioSpec) (*Result, error) {
 // every injector (including the per-shard rebuilds) to capture the
 // run's noise draws for trace v2 recording.
 func (s ScenarioSpec) run(topo Topology, progs []mpisim.Program, recorder *noiseRecorder) (*mpisim.Result, map[int]*wave.FrontTracker, error) {
-	cfg := mpisim.Config{Ranks: len(progs), Trace: s.Trace}
-	texec := sim.Time(s.Texec.Seconds())
+	var cfg mpisim.Config
 	if memoryBound(progs) {
 		place, err := s.Machine.Placement(len(progs))
 		if err != nil {
 			return nil, nil, err
 		}
-		if s.NetModel != nil {
-			cfg.Net = s.NetModel
-		} else {
-			net, err := s.Machine.NetModel(place)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfg.Net = net
+		if cfg, err = s.Machine.MemBoundConfig(place, s.NetModel); err != nil {
+			return nil, nil, err
 		}
-		cfg.SocketOf = place.Socket
-		cfg.SocketBandwidth = s.Machine.MemBandwidth
-		cfg.CoreBandwidth = s.Machine.MemBandwidth / 6 // single-core limit, ~1/6 of saturation
-		cfg.ChargeCommBandwidth = true
 	} else if s.NetModel != nil {
 		cfg.Net = s.NetModel
 	} else {
@@ -478,20 +467,29 @@ func (s ScenarioSpec) run(topo Topology, progs []mpisim.Program, recorder *noise
 		}
 		cfg.Net = net
 	}
-	natural, err := s.Machine.NaturalNoise(s.Seed, texec)
-	if err != nil {
+	cfg.Ranks, cfg.Trace = len(progs), s.Trace
+	texec := sim.Time(s.Texec.Seconds())
+	// buildNoise combines the machine's natural noise with the injected
+	// noise (the Noise profile, or NoiseLevel's exponential).
+	buildNoise := func() (mpisim.NoiseFunc, error) {
+		natural, err := s.Machine.NaturalNoise(s.Seed, texec)
+		if err != nil {
+			return nil, err
+		}
+		var injected mpisim.NoiseFunc
+		if s.Noise != nil {
+			if injected, err = s.Noise.Build(s.Seed+1, texec); err != nil {
+				return nil, err
+			}
+		} else {
+			injected = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
+		}
+		return recorder.wrap(noise.Combine(natural, injected)), nil
+	}
+	var err error
+	if cfg.Noise, err = buildNoise(); err != nil {
 		return nil, nil, err
 	}
-	var injected mpisim.NoiseFunc
-	if s.Noise != nil {
-		injected, err = s.Noise.Build(s.Seed+1, texec)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		injected = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
-	}
-	cfg.Noise = recorder.wrap(noise.Combine(natural, injected))
 	if s.Shards < 0 {
 		return nil, nil, fmt.Errorf("negative shard count %d", s.Shards)
 	}
@@ -503,20 +501,11 @@ func (s ScenarioSpec) run(topo Topology, progs []mpisim.Program, recorder *noise
 		// byte-identical streams. Construction succeeded above with the
 		// same inputs, so a failure here is a programming error.
 		cfg.NoiseFactory = func() mpisim.NoiseFunc {
-			nat, err := s.Machine.NaturalNoise(s.Seed, texec)
+			fn, err := buildNoise()
 			if err != nil {
 				panic(fmt.Sprintf("idlewave: noise rebuild failed after validation: %v", err))
 			}
-			var inj mpisim.NoiseFunc
-			if s.Noise != nil {
-				inj, err = s.Noise.Build(s.Seed+1, texec)
-				if err != nil {
-					panic(fmt.Sprintf("idlewave: noise rebuild failed after validation: %v", err))
-				}
-			} else {
-				inj = noise.Exponential(s.Seed+1, s.NoiseLevel, texec)
-			}
-			return recorder.wrap(noise.Combine(nat, inj))
+			return fn
 		}
 	}
 

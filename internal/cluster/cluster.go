@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/mpisim"
@@ -56,8 +57,10 @@ func (m Machine) Validate() error {
 	if m.CoresPerSocket <= 0 || m.SocketsPerNode <= 0 {
 		return fmt.Errorf("cluster: %s: invalid node structure %dx%d", m.Name, m.SocketsPerNode, m.CoresPerSocket)
 	}
-	if m.MemBandwidth <= 0 || m.NetBandwidth <= 0 || m.IntraBandwidth <= 0 {
-		return fmt.Errorf("cluster: %s: non-positive bandwidth", m.Name)
+	for _, bw := range []float64{m.MemBandwidth, m.NetBandwidth, m.IntraBandwidth} {
+		if !(bw > 0) || math.IsInf(bw, 0) {
+			return fmt.Errorf("cluster: %s: bandwidth %g is not a positive number", m.Name, bw)
+		}
 	}
 	if m.NetLatency < 0 || m.IntraLatency < 0 || m.SendOverhead < 0 || m.RecvOverhead < 0 {
 		return fmt.Errorf("cluster: %s: negative latency or overhead", m.Name)
@@ -141,6 +144,40 @@ func (m Machine) NetModel(loc topology.Locator) (netmodel.Model, error) {
 		return nil, err
 	}
 	return netmodel.NewHierarchical(loc, intra, intra, inter)
+}
+
+// SocketLocator is a rank placement that knows each rank's socket: a
+// compact topology.Placement or a topology.SpreadPlacement.
+type SocketLocator interface {
+	topology.Locator
+	Socket(rank int) int
+}
+
+// CoreBandwidth is the single-core memory bandwidth limit of the
+// memory-bound configuration: ~1/6 of the socket's saturated bandwidth.
+func (m Machine) CoreBandwidth() float64 { return m.MemBandwidth / 6 }
+
+// MemBoundConfig returns the simulator configuration memory-bound
+// programs run under on placement place (the Fig. 1/2 configuration):
+// the machine's hierarchical network, each socket's memory bandwidth
+// shared by its ranks up to CoreBandwidth per rank, and communication
+// DMA charged against it. A non-nil net replaces the
+// machine's network, which is then not built. The caller sets Ranks,
+// Noise and the remaining fields.
+func (m Machine) MemBoundConfig(place SocketLocator, net netmodel.Model) (mpisim.Config, error) {
+	if net == nil {
+		var err error
+		if net, err = m.NetModel(place); err != nil {
+			return mpisim.Config{}, err
+		}
+	}
+	return mpisim.Config{
+		Net:                 net,
+		SocketOf:            place.Socket,
+		SocketBandwidth:     m.MemBandwidth,
+		CoreBandwidth:       m.CoreBandwidth(),
+		ChargeCommBandwidth: true,
+	}, nil
 }
 
 // FlatNetModel builds a single-level model using only the inter-node

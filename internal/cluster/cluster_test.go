@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,6 +33,9 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		{"zero membw", func(m *Machine) { m.MemBandwidth = 0 }},
 		{"zero netbw", func(m *Machine) { m.NetBandwidth = 0 }},
 		{"zero intrabw", func(m *Machine) { m.IntraBandwidth = 0 }},
+		{"NaN membw", func(m *Machine) { m.MemBandwidth = math.NaN() }},
+		{"NaN netbw", func(m *Machine) { m.NetBandwidth = math.NaN() }},
+		{"infinite intrabw", func(m *Machine) { m.IntraBandwidth = math.Inf(1) }},
 		{"negative latency", func(m *Machine) { m.NetLatency = -1 }},
 		{"negative overhead", func(m *Machine) { m.SendOverhead = -1 }},
 		{"negative eager limit", func(m *Machine) { m.EagerLimit = -1 }},
@@ -172,5 +177,41 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("cray"); err == nil {
 		t.Error("unknown machine accepted")
+	}
+}
+
+// TestMemBoundConfig pins the memory-bound policy, and that an override
+// network is used as given: the machine's own is not built, so a
+// machine whose network would not validate still runs under it.
+func TestMemBoundConfig(t *testing.T) {
+	m := Emmy()
+	place, err := m.SpreadPlacement(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := m.MemBoundConfig(place, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Net == nil || cfg.SocketOf(5) != place.Socket(5) || !cfg.ChargeCommBandwidth ||
+		cfg.SocketBandwidth != m.MemBandwidth || cfg.CoreBandwidth != m.MemBandwidth/6 {
+		t.Errorf("memory-bound config = %+v", cfg)
+	}
+
+	flat, err := m.FlatNetModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := m
+	bad.NetBandwidth = 0
+	if _, err := bad.MemBoundConfig(place, nil); err == nil {
+		t.Error("invalid machine network built")
+	}
+	cfg, err = bad.MemBoundConfig(place, flat)
+	if err != nil {
+		t.Fatalf("override network: %v", err)
+	}
+	if !reflect.DeepEqual(cfg.Net, flat) {
+		t.Errorf("override network replaced: %+v", cfg.Net)
 	}
 }

@@ -26,6 +26,7 @@ func FuzzParseMachine(f *testing.F) {
 		"emmy:osend=300ns:orecv=500ns",
 		"", "unknown", "emmy:lat=", "emmy:lat=-1us", "custom:cores=0x2",
 		"emmy:bw=0", "emmy:noise=exp", "emmy:frobnicate=1",
+		"custom:bw=NaN",
 	} {
 		f.Add(s)
 	}

@@ -114,6 +114,9 @@ func TestParseMachineErrors(t *testing.T) {
 		"cray",
 		"custom:lat=-1us",
 		"custom:bw=0",
+		"custom:bw=NaN",
+		"emmy:membw=Inf",
+		"meggie:intrabw=NaN",
 		"custom:cores=10",
 		"custom:cores=0x2",
 		"custom:eager=-5",

@@ -160,72 +160,6 @@ func bulkRun(m cluster.Machine, wl workload.Workload, noiseFn mpisim.NoiseFunc) 
 	}, progs)
 }
 
-// memWorkloadRun builds any workload's programs through the Workload
-// interface and runs them memory-bound style: compact placement,
-// hierarchical network, shared socket bandwidth (the Fig. 1/2
-// configuration).
-func memWorkloadRun(m cluster.Machine, wl workload.Workload, noiseFn mpisim.NoiseFunc) (*mpisim.Result, error) {
-	progs, err := wl.Programs()
-	if err != nil {
-		return nil, err
-	}
-	return memRun(m, progs, len(progs), noiseFn)
-}
-
-// spreadWorkloadRun is memWorkloadRun with a spread placement of ppn
-// processes per node (the paper's PPN=1 setup when ppn is 1).
-func spreadWorkloadRun(m cluster.Machine, wl workload.Workload, ppn int, noiseFn mpisim.NoiseFunc) (*mpisim.Result, error) {
-	progs, err := wl.Programs()
-	if err != nil {
-		return nil, err
-	}
-	return spreadRun(m, progs, len(progs), ppn, noiseFn)
-}
-
-// memRun builds and runs a memory-bound bulk-synchronous workload with a
-// compact placement and hierarchical network on the machine.
-func memRun(m cluster.Machine, progs []mpisim.Program, ranks int, noiseFn mpisim.NoiseFunc) (*mpisim.Result, error) {
-	place, err := m.Placement(ranks)
-	if err != nil {
-		return nil, err
-	}
-	net, err := m.NetModel(place)
-	if err != nil {
-		return nil, err
-	}
-	return mpisim.Run(mpisim.Config{
-		Ranks:               ranks,
-		Net:                 net,
-		Noise:               noiseFn,
-		SocketOf:            place.Socket,
-		SocketBandwidth:     m.MemBandwidth,
-		CoreBandwidth:       m.MemBandwidth / 6, // single-core limit, ~1/6 of saturation
-		ChargeCommBandwidth: true,
-	}, progs)
-}
-
-// spreadRun runs programs with a spread placement of ppn processes per
-// node (the paper's PPN=1 setup when ppn is 1).
-func spreadRun(m cluster.Machine, progs []mpisim.Program, ranks, ppn int, noiseFn mpisim.NoiseFunc) (*mpisim.Result, error) {
-	place, err := m.SpreadPlacement(ranks, ppn)
-	if err != nil {
-		return nil, err
-	}
-	net, err := m.NetModel(place)
-	if err != nil {
-		return nil, err
-	}
-	return mpisim.Run(mpisim.Config{
-		Ranks:               ranks,
-		Net:                 net,
-		Noise:               noiseFn,
-		SocketOf:            place.Socket,
-		SocketBandwidth:     m.MemBandwidth,
-		CoreBandwidth:       m.MemBandwidth / 6,
-		ChargeCommBandwidth: true,
-	}, progs)
-}
-
 // meanStepTime returns the average per-step wall time of the whole run.
 func meanStepTime(set trace.Set) sim.Time {
 	steps := set.Steps()

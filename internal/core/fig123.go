@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
+	"repro/internal/mpisim"
 	"repro/internal/noise"
 	"repro/internal/sim"
 	"repro/internal/spectral"
@@ -59,7 +60,20 @@ func runFig1(opts Options) (*Report, error) {
 		if err != nil {
 			return aPoint{}, err
 		}
-		res, err := memWorkloadRun(m, wl, natural)
+		progs, err := wl.Programs()
+		if err != nil {
+			return aPoint{}, err
+		}
+		place, err := m.Placement(ranks)
+		if err != nil {
+			return aPoint{}, err
+		}
+		cfg, err := m.MemBoundConfig(place, nil)
+		if err != nil {
+			return aPoint{}, err
+		}
+		cfg.Ranks, cfg.Noise = ranks, natural
+		res, err := mpisim.Run(cfg, progs)
 		if err != nil {
 			return aPoint{}, err
 		}
@@ -114,7 +128,7 @@ func runFig1(opts Options) (*Report, error) {
 
 	// Panel (c): one process per node — no saturation, model accurate.
 	rep.addf("")
-	rep.addf("panel (c): PPN=1, single-core bandwidth limit %.1f GB/s", m.MemBandwidth/6/1e9)
+	rep.addf("panel (c): PPN=1, single-core bandwidth limit %.1f GB/s", m.CoreBandwidth()/1e9)
 	rowsC := [][]string{{"nodes", "model GF/s", "measured GF/s", "deviation %"}}
 	type cPoint struct {
 		row, dataRow []string
@@ -136,14 +150,27 @@ func runFig1(opts Options) (*Report, error) {
 		if err != nil {
 			return cPoint{}, err
 		}
-		res, err := spreadWorkloadRun(m, wl, 1, natural)
+		progs, err := wl.Programs()
+		if err != nil {
+			return cPoint{}, err
+		}
+		place, err := m.SpreadPlacement(ranks, 1)
+		if err != nil {
+			return cPoint{}, err
+		}
+		cfg, err := m.MemBoundConfig(place, nil)
+		if err != nil {
+			return cPoint{}, err
+		}
+		cfg.Ranks, cfg.Noise = ranks, natural
+		res, err := mpisim.Run(cfg, progs)
 		if err != nil {
 			return cPoint{}, err
 		}
 		measured := triad.Performance(meanStepTime(res.Traces))
 		// PPN=1 model: each process streams V/ranks at the single-core
 		// bandwidth.
-		coreBW := m.MemBandwidth / 6
+		coreBW := m.CoreBandwidth()
 		stepT := sim.Time(triad.WorkingSet/(float64(ranks)*coreBW)) + triad.CommTime()
 		modelP := triad.Performance(stepT)
 		dev := 100 * (modelP - measured) / modelP
@@ -199,7 +226,20 @@ func runFig2(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := memWorkloadRun(m, wl, natural)
+	progs, err := wl.Programs()
+	if err != nil {
+		return nil, err
+	}
+	place, err := m.Placement(ranks)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := m.MemBoundConfig(place, nil)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Ranks, cfg.Noise = ranks, natural
+	res, err := mpisim.Run(cfg, progs)
 	if err != nil {
 		return nil, err
 	}

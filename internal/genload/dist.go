@@ -454,7 +454,7 @@ func parseModTerm(v string) (ModTerm, error) {
 		return ModTerm{}, fmt.Errorf("bad mod %q (want <amp>@<period>, e.g. 0.5@100ms)", v)
 	}
 	a, err := strconv.ParseFloat(strings.TrimSpace(amp), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(a) || math.IsInf(a, 0) {
 		return ModTerm{}, fmt.Errorf("bad mod amplitude %q", amp)
 	}
 	p, err := parseDistDuration(period, "mod period")

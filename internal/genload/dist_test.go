@@ -168,6 +168,8 @@ func TestParseErrors(t *testing.T) {
 		"exp:3ms:mod=0.5",
 		"exp:3ms:mod=x@3ms",
 		"exp:3ms:mod=0.5@0s",
+		"exp:3ms:mod=NaN@3ms",
+		"exp:3ms:mod=Inf@3ms",
 		"mod=0.5@1ms",
 	} {
 		if _, err := ParseDistribution(s); err == nil {

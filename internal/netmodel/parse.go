@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -149,8 +150,9 @@ func ParseSize(v, key string) (float64, error) {
 		}
 	}
 	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f <= 0 {
+	f *= mult
+	if err != nil || !(f > 0) || math.IsInf(f, 0) {
 		return 0, fmt.Errorf("bad %s %q (want a positive size like 32768, 128KB or 6.8GB/s)", key, v)
 	}
-	return f * mult, nil
+	return f, nil
 }

@@ -75,6 +75,10 @@ func TestParseErrors(t *testing.T) {
 		"hockney:bw=1GB/s:warp=1",  // unknown option
 		"hockney:bw=1GB/s:lat",     // bare option
 		"loggops:bw=1GB/s:o=1us/",  // empty recv side
+		"hockney:bw=NaN",           // not a number
+		"hockney:bw=+Inf",          // infinite outside the loggops bw=inf spelling
+		"hockney:bw=1GB/s:eager=NaN",
+		"loggops:bw=NaNGB/s",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("%q accepted", spec)

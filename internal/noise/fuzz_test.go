@@ -26,6 +26,7 @@ func FuzzParseNoise(f *testing.F) {
 		"emmy", "meggie",
 		"", "exp", "exp:-1", "periodic:10ms", "bimodal:w=0", "exp:1:cap=0s",
 		"exp:1+", "silent:cap=1us",
+		"exp:NaN", "exp:Inf",
 	} {
 		f.Add(s)
 	}

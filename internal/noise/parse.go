@@ -2,6 +2,7 @@ package noise
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -88,8 +89,8 @@ func parseExp(orig string, parts []string) (NoiseProfile, error) {
 		}
 		e.Mean = sim.Time(d.Seconds())
 	} else if lv, err := strconv.ParseFloat(val, 64); err == nil {
-		if lv <= 0 {
-			return nil, fmt.Errorf("noise: %q: non-positive level %q", orig, val)
+		if !(lv > 0) || math.IsInf(lv, 0) {
+			return nil, fmt.Errorf("noise: %q: level %q is not a positive number", orig, val)
 		}
 		e.Level = lv
 	} else {
@@ -217,7 +218,7 @@ func parseNoiseDuration(v, key string) (sim.Time, error) {
 
 func parseNoiseFloat(v, key string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil || f <= 0 {
+	if err != nil || !(f > 0) || math.IsInf(f, 0) {
 		return 0, fmt.Errorf("bad %s %q (want a positive number)", key, v)
 	}
 	return f, nil

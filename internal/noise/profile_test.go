@@ -240,6 +240,7 @@ func TestParseErrors(t *testing.T) {
 		"", "exp", "exp:-1", "exp:1.5:cap=-3us", "exp:1.5:oops=2",
 		"periodic", "periodic:500us", "periodic:0s@10ms",
 		"bimodal:3us:w=2", "waves:1", "exp:1.5+", "silent:2",
+		"exp:NaN", "exp:Inf", "exp:-Inf", "bimodal:3us:w=NaN", "bimodal:3us:wbulk=Inf",
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

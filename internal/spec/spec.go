@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -55,7 +56,9 @@ type Scenario struct {
 	// netmodel.Parse syntax ("hockney:lat=2us:bw=3GB/s:eager=131072").
 	NetModel string `json:"netmodel,omitempty"`
 	// Ranks, Steps and the chain-shape scalars mirror the runnable
-	// spec's fields (zero = default).
+	// spec's fields (zero = default). With a workload (in the base or
+	// on an axis), Steps is the workload's default step count, and
+	// Canonical folds it into the workload spelling.
 	Ranks            int     `json:"ranks,omitempty"`
 	Steps            int     `json:"steps,omitempty"`
 	Texec            string  `json:"texec,omitempty"` // duration, "3ms"
@@ -169,11 +172,14 @@ func (s Sweep) Canonical() (Sweep, error) {
 
 	out.Axes = make([]Axis, len(s.Axes))
 	for i, a := range s.Axes {
-		ca, err := a.canonical()
+		ca, err := a.canonical(s.Base.Steps)
 		if err != nil {
 			return Sweep{}, fmt.Errorf("spec: axis %d: %w", i, err)
 		}
 		out.Axes[i] = ca
+		if ca.Kind == "workload" {
+			out.Base.Steps = 0 // every point's workload carries it now
+		}
 	}
 
 	metrics := s.Metrics
@@ -198,11 +204,27 @@ func (s Sweep) Canonical() (Sweep, error) {
 }
 
 // Canonical validates and normalizes a scenario; see Sweep.Canonical.
+// A workload absorbs Steps as its default step count, so the canonical
+// form of a workload scenario has Steps zero.
 func (s Scenario) Canonical() (Scenario, error) {
 	out := s
 	var err error
-	if out.Workload, err = canonWorkload(s.Workload); err != nil {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"ranks", s.Ranks}, {"steps", s.Steps}, {"message_bytes", s.MessageBytes},
+		{"d", s.NeighborDistance}, {"shards", s.Shards},
+	} {
+		if f.v < 0 {
+			return Scenario{}, fmt.Errorf("spec: negative %s %d", f.name, f.v)
+		}
+	}
+	if out.Workload, err = canonWorkload(s.Workload, s.Steps); err != nil {
 		return Scenario{}, fmt.Errorf("spec: workload: %w", err)
+	}
+	if out.Workload != "" {
+		out.Steps = 0
 	}
 	if out.Topology, err = canonTopology(s.Topology); err != nil {
 		return Scenario{}, fmt.Errorf("spec: topology: %w", err)
@@ -228,19 +250,8 @@ func (s Scenario) Canonical() (Scenario, error) {
 	if out.Trace, err = canonTrace(s.Trace); err != nil {
 		return Scenario{}, err
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"ranks", s.Ranks}, {"steps", s.Steps}, {"message_bytes", s.MessageBytes},
-		{"d", s.NeighborDistance}, {"shards", s.Shards},
-	} {
-		if f.v < 0 {
-			return Scenario{}, fmt.Errorf("spec: negative %s %d", f.name, f.v)
-		}
-	}
-	if s.NoiseLevel < 0 {
-		return Scenario{}, fmt.Errorf("spec: negative noise_level %g", s.NoiseLevel)
+	if !(s.NoiseLevel >= 0) || math.IsInf(s.NoiseLevel, 0) {
+		return Scenario{}, fmt.Errorf("spec: noise_level %g is not a finite non-negative number", s.NoiseLevel)
 	}
 	if s.Noise != "" && s.NoiseLevel != 0 {
 		return Scenario{}, fmt.Errorf("spec: noise and noise_level are mutually exclusive")
@@ -320,12 +331,16 @@ func (s Sweep) Slice(coords []int) (Sweep, error) {
 	return out, nil
 }
 
-// canonical validates an axis and normalizes its values.
-func (a Axis) canonical() (Axis, error) {
+// canonical validates an axis and normalizes its values; steps is the
+// base scenario's step count, the default of workload values.
+func (a Axis) canonical(steps int) (Axis, error) {
 	kind := strings.ToLower(strings.TrimSpace(a.Kind))
 	canon, ok := axisValueCanon[kind]
 	if !ok {
 		return Axis{}, fmt.Errorf("unknown kind %q (want one of %s)", a.Kind, strings.Join(AxisKinds, ", "))
+	}
+	if kind == "workload" {
+		canon = mustValue(func(v string) (string, error) { return canonWorkload(v, steps) })
 	}
 	if len(a.Values) == 0 {
 		return Axis{}, fmt.Errorf("kind %q has no values", kind)
@@ -353,7 +368,7 @@ var axisValueCanon = map[string]func(string) (string, error){
 	"ranks":        canonPosInt,
 	"seed":         canonUint,
 	"topology":     mustValue(canonTopology),
-	"workload":     mustValue(canonWorkload),
+	"workload":     nil, // needs the base steps; see Axis.canonical
 	"netmodel":     mustValue(canonNetModel),
 	"latency":      canonDuration,
 	"bandwidth":    canonRate,
@@ -383,12 +398,17 @@ func canonTopology(v string) (string, error) {
 	return t.String(), nil
 }
 
-func canonWorkload(v string) (string, error) {
+// canonWorkload resolves a workload spelling with steps (0 = the
+// workload default) as its default step count and re-renders it. A
+// rendering omits only workload.DefaultSteps, so the canonical form
+// parses back to the same workload under the default and carries every
+// other step count itself, stated or defaulted.
+func canonWorkload(v string, steps int) (string, error) {
 	v = strings.TrimSpace(v)
 	if v == "" {
 		return "", nil
 	}
-	w, err := workload.Parse(v)
+	w, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
 	if err != nil {
 		return "", err
 	}
@@ -466,8 +486,8 @@ func canonOptionalDuration(v string) (string, error) {
 
 func canonFloat(v string) (string, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil || f < 0 {
-		return "", fmt.Errorf("bad value %q (want a non-negative number)", v)
+	if err != nil || !(f >= 0) || math.IsInf(f, 0) {
+		return "", fmt.Errorf("bad value %q (want a finite non-negative number)", v)
 	}
 	return strconv.FormatFloat(f, 'g', -1, 64), nil
 }

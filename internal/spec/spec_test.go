@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,10 @@ func TestCanonicalRejects(t *testing.T) {
 		"empty axis":         func(s *Sweep) { s.Axes[0].Values = nil },
 		"bad axis value":     func(s *Sweep) { s.Axes[1].Values[0] = "many" },
 		"unknown metric":     func(s *Sweep) { s.Metrics = []string{"vibes"} },
+		"NaN noise_level":    func(s *Sweep) { s.Base.NoiseLevel = math.NaN() },
+		"Inf noise_level":    func(s *Sweep) { s.Base.NoiseLevel = math.Inf(1) },
+		"NaN noise value":    func(s *Sweep) { s.Axes[0].Values[0] = "NaN" },
+		"Inf noise value":    func(s *Sweep) { s.Axes[0].Values[0] = "Inf" },
 	} {
 		s := base
 		s.Base.Delay = append([]Delay(nil), base.Base.Delay...)

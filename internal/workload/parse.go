@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -273,7 +274,7 @@ func parsePositiveInt(v, key string) (int, error) {
 
 func parsePositiveFloat(v, key string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil || f <= 0 {
+	if err != nil || !(f > 0) || math.IsInf(f, 0) {
 		return 0, fmt.Errorf("bad %s %q (want a positive number)", key, v)
 	}
 	return f, nil

@@ -111,6 +111,8 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 		"triad:zero",
 		"triad:-3",
 		"triad:18:ws=-1",
+		"triad:18:ws=NaN",
+		"triad:18:ws=Inf",
 		"triad:18:cells=90", // lbm-only option
 		"lbm:10:cells=0",
 		"lbm:4x0",

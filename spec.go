@@ -67,8 +67,9 @@ func MetricByName(name string, source int) (Metric, error) {
 // ScenarioFromSpec converts a wire scenario into a runnable
 // ScenarioSpec, parsing every component string through the public
 // parsers. A workload spec absorbs the scenario's Steps as its default
-// step count (matching the CLIs' -steps threading), since a runnable
-// spec with a Workload carries the step count inside the workload.
+// step count (matching the CLIs' -steps threading; Canonical folds it
+// in), since a runnable spec with a Workload carries the step count
+// inside the workload.
 func ScenarioFromSpec(ws SpecScenario) (ScenarioSpec, error) {
 	c, err := ws.Canonical()
 	if err != nil {
@@ -105,12 +106,9 @@ func ScenarioFromSpec(ws SpecScenario) (ScenarioSpec, error) {
 		}
 	}
 	if c.Workload != "" {
-		wl, err := workload.ParseWith(c.Workload, workload.Defaults{Steps: c.Steps})
-		if err != nil {
+		if out.Workload, err = workload.Parse(c.Workload); err != nil {
 			return ScenarioSpec{}, err
 		}
-		out.Workload = wl
-		out.Steps = 0 // the workload carries the step count now
 	}
 	if c.Texec != "" {
 		d, err := time.ParseDuration(c.Texec)
@@ -162,7 +160,7 @@ func SweepFromSpec(ws *Spec) (SweepSpec, error) {
 	}
 	axes := make([]SweepAxis, 0, len(c.Axes))
 	for i, a := range c.Axes {
-		ax, err := axisFromSpec(a, c.Base)
+		ax, err := axisFromSpec(a)
 		if err != nil {
 			return zero, fmt.Errorf("idlewave: axis %d: %w", i, err)
 		}
@@ -187,7 +185,7 @@ func SweepFromSpec(ws *Spec) (SweepSpec, error) {
 // axisFromSpec builds the SweepAxis for one wire axis, delegating to
 // the public axis builders so labels and semantics match sweeps built
 // in code or from CLI flags.
-func axisFromSpec(a SpecAxis, base SpecScenario) (SweepAxis, error) {
+func axisFromSpec(a SpecAxis) (SweepAxis, error) {
 	var zero SweepAxis
 	vals := a.Values
 	switch a.Kind {
@@ -275,7 +273,7 @@ func axisFromSpec(a SpecAxis, base SpecScenario) (SweepAxis, error) {
 	case "workload":
 		wls := make([]Workload, len(vals))
 		for i, v := range vals {
-			w, err := workload.ParseWith(v, workload.Defaults{Steps: base.Steps})
+			w, err := workload.Parse(v)
 			if err != nil {
 				return zero, err
 			}

@@ -2,10 +2,13 @@ package idlewave
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/spec"
+	"repro/internal/workload"
 )
 
 // TestMetricByNameCoversSpecNames pins the wire codec's metric list to
@@ -258,5 +261,75 @@ func TestSpecSliceEquivalence(t *testing.T) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("slice %d differs from full sweep row:\n%s\nvs\n%s", i, a.String(), b.String())
 		}
+	}
+}
+
+// TestSpecWorkloadStepsMatchBuilders: a spec's base steps reach its
+// workloads exactly as the builders' Defaults do, for an axis and for
+// the base, at a step count other than workload.DefaultSteps — also for
+// a gen workload, whose label always states its steps, and for an
+// explicit steps=24, which a label leaves out.
+func TestSpecWorkloadStepsMatchBuilders(t *testing.T) {
+	const steps = 10
+	values := []string{"gen:16", "triad:8:steps=24", "mix:bulk/8+gen/8"}
+	var wls []Workload
+	for _, v := range values {
+		wl, err := workload.ParseWith(v, workload.Defaults{Steps: steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wls = append(wls, wl)
+	}
+	ws := &Spec{
+		Base:    SpecScenario{Steps: steps, Seed: 42},
+		Axes:    []SpecAxis{{Kind: "workload", Values: values}},
+		Metrics: []string{"runtime"},
+	}
+	fromSpec, err := SweepFromSpec(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := SweepSpec{
+		Base:    ScenarioSpec{Seed: 42},
+		Axes:    []SweepAxis{WorkloadAxis(wls...)},
+		Metrics: []Metric{MetricRuntime()},
+	}
+	var a, b bytes.Buffer
+	for _, c := range []struct {
+		ss  SweepSpec
+		out *bytes.Buffer
+	}{{fromSpec, &a}, {direct, &b}} {
+		tbl, err := Sweep(c.ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.WriteCSV(c.out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("spec workload axis differs from builders:\n%s\nvs\n%s", a.String(), b.String())
+	}
+
+	for i, v := range values {
+		s, err := ScenarioFromSpec(SpecScenario{Workload: v, Steps: steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(s.Workload), fmt.Sprint(wls[i]); got != want {
+			t.Errorf("base %s: workload %s, want %s", v, got, want)
+		}
+	}
+
+	c, err := ws.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := c.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(c, cc) {
+		t.Errorf("Canonical is not idempotent:\n%+v\nvs\n%+v", c, cc)
 	}
 }
