@@ -2,7 +2,10 @@
 // benchmarks spanning the layers every experiment funnels through — the
 // raw discrete-event engine, a 1-D chain idle wave, a 2-D torus halo
 // exchange, the memory-bound LBM proxy, a many-seed noise sweep, and
-// parallel-DES shard-scaling variants of the two largest cases.
+// Shards-set variants of the two largest cases. Both are lockstep
+// programs, which mpisim.Run computes with the lockstep solver at any
+// shard count, so the variants time the solver, not the parallel-DES
+// driver.
 //
 // The suite is consumed two ways: bench_test.go wraps every case as an
 // ordinary `go test -bench` benchmark, and cmd/bench runs the same cases
@@ -95,7 +98,7 @@ func Suite() []Case {
 		s := s
 		cases = append(cases, Case{
 			Name:      fmt.Sprintf("ChainWave100kShard%d", s),
-			Detail:    fmt.Sprintf("the ChainWave100k scenario sharded across %d parallel-DES engines", s),
+			Detail:    fmt.Sprintf("the ChainWave100k scenario with Shards=%d (lockstep, so the solver runs it)", s),
 			NumShards: s,
 			F:         func(b *testing.B) { chainWave100kAt(b, s) },
 		})
@@ -104,7 +107,7 @@ func Suite() []Case {
 		s := s
 		cases = append(cases, Case{
 			Name:      fmt.Sprintf("Torus2DShard%d", s),
-			Detail:    fmt.Sprintf("the Torus2D scenario sharded across %d parallel-DES engines", s),
+			Detail:    fmt.Sprintf("the Torus2D scenario with Shards=%d (lockstep, so the solver runs it)", s),
 			NumShards: s,
 			F:         func(b *testing.B) { torus2DAt(b, s) },
 		})

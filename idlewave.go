@@ -403,10 +403,17 @@ func (s ScenarioSpec) workloadFor() (Workload, error) {
 // and build the per-rank programs, run them on the machine — with
 // memory-bandwidth sharing and hierarchical placement when the workload
 // is memory-bound — and wrap the traces in a Result.
-func Simulate(spec ScenarioSpec) (*Result, error) {
+func Simulate(spec ScenarioSpec) (*Result, error) { return simulate(spec, nil) }
+
+// simulate is Simulate with the programs drawn from share, which may
+// hold a recent sweep point's.
+func simulate(spec ScenarioSpec, share *programShare) (*Result, error) {
 	spec = spec.withDefaults()
 	if spec.Noise != nil && spec.NoiseLevel != 0 {
 		return nil, fmt.Errorf("idlewave: spec sets both Noise (%v) and NoiseLevel (%g); pick one", spec.Noise, spec.NoiseLevel)
+	}
+	if !sim.NonNegative(spec.NoiseLevel) {
+		return nil, fmt.Errorf("idlewave: NoiseLevel %g is not a finite non-negative number", spec.NoiseLevel)
 	}
 	wl, err := spec.workloadFor()
 	if err != nil {
@@ -416,7 +423,7 @@ func Simulate(spec ScenarioSpec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("idlewave: %w", err)
 	}
-	progs, err := wl.Programs()
+	progs, err := share.programs(wl)
 	if err != nil {
 		return nil, fmt.Errorf("idlewave: %w", err)
 	}

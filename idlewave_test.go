@@ -157,3 +157,19 @@ func TestRunProcessesWithCollectives(t *testing.T) {
 		t.Errorf("ShellArrivals on a process-style result = %v, want nil", got)
 	}
 }
+
+// TestSimulateRejectsNaNNoise pins that a NaN, infinite or negative
+// noise level built in Go is an error, not a silently noise-free run.
+func TestSimulateRejectsNaNNoise(t *testing.T) {
+	for name, spec := range map[string]ScenarioSpec{
+		"profile NaN level":   {Ranks: 8, Steps: 4, Noise: ExponentialNoise{Level: math.NaN()}},
+		"profile Inf level":   {Ranks: 8, Steps: 4, Noise: ExponentialNoise{Level: math.Inf(1)}},
+		"NaN NoiseLevel":      {Ranks: 8, Steps: 4, NoiseLevel: math.NaN()},
+		"Inf NoiseLevel":      {Ranks: 8, Steps: 4, NoiseLevel: math.Inf(1)},
+		"negative NoiseLevel": {Ranks: 8, Steps: 4, NoiseLevel: -0.1},
+	} {
+		if _, err := Simulate(spec); err == nil || !strings.Contains(err.Error(), "non-finite") && !strings.Contains(err.Error(), "not a finite") {
+			t.Errorf("%s: Simulate = %v, want a non-finite parameter error", name, err)
+		}
+	}
+}

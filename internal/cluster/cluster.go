@@ -62,8 +62,10 @@ func (m Machine) Validate() error {
 			return fmt.Errorf("cluster: %s: bandwidth %g is not a positive number", m.Name, bw)
 		}
 	}
-	if m.NetLatency < 0 || m.IntraLatency < 0 || m.SendOverhead < 0 || m.RecvOverhead < 0 {
-		return fmt.Errorf("cluster: %s: negative latency or overhead", m.Name)
+	for _, t := range []sim.Time{m.NetLatency, m.IntraLatency, m.SendOverhead, m.RecvOverhead} {
+		if !sim.NonNegative(t) {
+			return fmt.Errorf("cluster: %s: negative or non-finite latency or overhead", m.Name)
+		}
 	}
 	if m.EagerLimit < 0 {
 		return fmt.Errorf("cluster: %s: negative eager limit", m.Name)

@@ -38,6 +38,10 @@ func TestValidateRejectsBadMachines(t *testing.T) {
 		{"infinite intrabw", func(m *Machine) { m.IntraBandwidth = math.Inf(1) }},
 		{"negative latency", func(m *Machine) { m.NetLatency = -1 }},
 		{"negative overhead", func(m *Machine) { m.SendOverhead = -1 }},
+		{"NaN latency", func(m *Machine) { m.NetLatency = sim.Time(math.NaN()) }},
+		{"NaN intra latency", func(m *Machine) { m.IntraLatency = sim.Time(math.NaN()) }},
+		{"infinite send overhead", func(m *Machine) { m.SendOverhead = sim.Time(math.Inf(1)) }},
+		{"NaN recv overhead", func(m *Machine) { m.RecvOverhead = sim.Time(math.NaN()) }},
 		{"negative eager limit", func(m *Machine) { m.EagerLimit = -1 }},
 	}
 	for _, c := range mutations {

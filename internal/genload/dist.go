@@ -62,8 +62,8 @@ type Det struct {
 
 // Validate checks the parameters.
 func (d Det) Validate() error {
-	if d.Value <= 0 {
-		return fmt.Errorf("genload: det needs a positive value, got %v", d.Value)
+	if !sim.Positive(d.Value) {
+		return fmt.Errorf("genload: det needs a positive finite value, got %v", d.Value)
 	}
 	return nil
 }
@@ -86,8 +86,8 @@ type Exp struct {
 
 // Validate checks the parameters.
 func (e Exp) Validate() error {
-	if e.MeanTime <= 0 {
-		return fmt.Errorf("genload: exp needs a positive mean, got %v", e.MeanTime)
+	if !sim.Positive(e.MeanTime) {
+		return fmt.Errorf("genload: exp needs a positive finite mean, got %v", e.MeanTime)
 	}
 	return nil
 }
@@ -116,8 +116,8 @@ func (g Gamma) Validate() error {
 	if !(g.Shape > 0) || math.IsInf(g.Shape, 0) {
 		return fmt.Errorf("genload: gamma needs a positive finite shape, got %g", g.Shape)
 	}
-	if g.Scale <= 0 {
-		return fmt.Errorf("genload: gamma needs a positive scale, got %v", g.Scale)
+	if !sim.Positive(g.Scale) {
+		return fmt.Errorf("genload: gamma needs a positive finite scale, got %v", g.Scale)
 	}
 	return nil
 }
@@ -174,8 +174,8 @@ func (w Weibull) Validate() error {
 	if !(w.Shape > 0) || math.IsInf(w.Shape, 0) {
 		return fmt.Errorf("genload: weibull needs a positive finite shape, got %g", w.Shape)
 	}
-	if w.Scale <= 0 {
-		return fmt.Errorf("genload: weibull needs a positive scale, got %v", w.Scale)
+	if !sim.Positive(w.Scale) {
+		return fmt.Errorf("genload: weibull needs a positive finite scale, got %v", w.Scale)
 	}
 	return nil
 }
@@ -203,7 +203,7 @@ type Uniform struct {
 
 // Validate checks the parameters.
 func (u Uniform) Validate() error {
-	if u.Lo <= 0 || u.Hi <= u.Lo {
+	if !sim.Positive(u.Lo) || !sim.Positive(u.Hi) || !(u.Hi > u.Lo) {
 		return fmt.Errorf("genload: uniform needs 0 < lo < hi, got [%v, %v)", u.Lo, u.Hi)
 	}
 	return nil
@@ -234,8 +234,8 @@ func (p Pareto) Validate() error {
 	if !(p.Shape > 0) || math.IsInf(p.Shape, 0) {
 		return fmt.Errorf("genload: pareto needs a positive finite shape, got %g", p.Shape)
 	}
-	if p.Min <= 0 {
-		return fmt.Errorf("genload: pareto needs a positive min, got %v", p.Min)
+	if !sim.Positive(p.Min) {
+		return fmt.Errorf("genload: pareto needs a positive finite min, got %v", p.Min)
 	}
 	return nil
 }
@@ -300,8 +300,8 @@ func (m Modulated) Validate() error {
 		if math.IsNaN(t.Amp) || math.IsInf(t.Amp, 0) {
 			return fmt.Errorf("genload: mod term %d has non-finite amplitude", i)
 		}
-		if t.Period <= 0 {
-			return fmt.Errorf("genload: mod term %d needs a positive period, got %v", i, t.Period)
+		if !sim.Positive(t.Period) {
+			return fmt.Errorf("genload: mod term %d needs a positive finite period, got %v", i, t.Period)
 		}
 	}
 	return m.Base.Validate()

@@ -148,6 +148,29 @@ func TestParseCanonicalizesSpelling(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite has one row per distribution parameter
+// that an ordered comparison alone let through as NaN or infinity.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
+	bad := map[string]Distribution{
+		"det NaN":             Det{Value: nan},
+		"det infinite":        Det{Value: inf},
+		"exp NaN mean":        Exp{MeanTime: nan},
+		"gamma NaN scale":     Gamma{Shape: 2, Scale: nan},
+		"weibull NaN scale":   Weibull{Shape: 2, Scale: nan},
+		"uniform NaN lo":      Uniform{Lo: nan, Hi: 1},
+		"uniform NaN hi":      Uniform{Lo: 1e-3, Hi: nan},
+		"uniform infinite hi": Uniform{Lo: 1e-3, Hi: inf},
+		"pareto NaN min":      Pareto{Shape: 2, Min: nan},
+		"mod NaN period":      Modulated{Base: Det{Value: 1e-3}, Terms: []ModTerm{{Amp: 0.5, Period: nan}}},
+	}
+	for name, d := range bad {
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // TestParseErrors checks malformed specs error instead of panicking.
 func TestParseErrors(t *testing.T) {
 	for _, s := range []string{

@@ -122,8 +122,8 @@ func (g GenWorkload) Validate() error {
 		if inj.Step < 0 || inj.Step >= g.Steps {
 			return fmt.Errorf("genload: injection step %d out of range", inj.Step)
 		}
-		if inj.Duration <= 0 {
-			return fmt.Errorf("genload: non-positive injection duration %v", inj.Duration)
+		if !sim.Positive(inj.Duration) {
+			return fmt.Errorf("genload: non-positive or non-finite injection duration %v", inj.Duration)
 		}
 	}
 	return nil

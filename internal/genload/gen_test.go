@@ -1,6 +1,7 @@
 package genload
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -131,6 +132,9 @@ func TestGenValidate(t *testing.T) {
 		func(g *GenWorkload) { g.Injections = []noise.Injection{{Rank: 99, Step: 0, Duration: 1e-3}} },
 		func(g *GenWorkload) { g.Injections = []noise.Injection{{Rank: 0, Step: 99, Duration: 1e-3}} },
 		func(g *GenWorkload) { g.Injections = []noise.Injection{{Rank: 0, Step: 0, Duration: 0}} },
+		func(g *GenWorkload) {
+			g.Injections = []noise.Injection{{Rank: 0, Step: 0, Duration: sim.Time(math.NaN())}}
+		},
 		func(g *GenWorkload) { g.Ranks = 0 },
 	}
 	for i, mutate := range cases {
@@ -221,6 +225,10 @@ func TestJobMixValidate(t *testing.T) {
 	if err := m.Validate(); err == nil {
 		t.Error("out-of-range mix injection validated")
 	}
+	m.Injections = []noise.Injection{{Rank: 1, Step: 0, Duration: sim.Time(math.NaN())}}
+	if err := m.Validate(); err == nil {
+		t.Error("NaN mix injection validated")
+	}
 }
 
 // TestJobMixDelays checks part delays shift to global ranks.
@@ -269,5 +277,21 @@ func TestBlocksTopology(t *testing.T) {
 	}
 	if got := b.SendTargets(99); got != nil {
 		t.Errorf("SendTargets(99) = %v, want nil", got)
+	}
+}
+
+// TestReplayValidateRejectsNonFinite has one row per replay parameter
+// that an ordered comparison alone let through as NaN or infinity.
+func TestReplayValidateRejectsNonFinite(t *testing.T) {
+	w := testReplay()
+	if err := w.Validate(); err != nil {
+		t.Fatalf("baseline replay invalid: %v", err)
+	}
+	w.Injections = []noise.Injection{{Rank: 0, Step: 0, Duration: sim.Time(math.NaN())}}
+	if err := w.Validate(); err == nil {
+		t.Error("NaN replay injection validated")
+	}
+	if err := (TraceNoise{Noise: [][]float64{{0, math.Inf(1)}}}).Validate(); err == nil {
+		t.Error("infinite recorded noise validated")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mpisim"
 	"repro/internal/noise"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -60,8 +61,8 @@ func (m JobMix) Validate() error {
 		if inj.Rank < 0 || inj.Rank >= total {
 			return fmt.Errorf("genload: injection rank %d out of range [0,%d)", inj.Rank, total)
 		}
-		if inj.Duration <= 0 {
-			return fmt.Errorf("genload: non-positive injection duration %v", inj.Duration)
+		if !sim.Positive(inj.Duration) {
+			return fmt.Errorf("genload: non-positive or non-finite injection duration %v", inj.Duration)
 		}
 	}
 	return nil

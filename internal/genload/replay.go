@@ -62,8 +62,8 @@ func (w Replay) Validate() error {
 		if inj.Step < 0 || inj.Step >= w.Data.Steps {
 			return fmt.Errorf("genload: injection step %d out of range [0,%d)", inj.Step, w.Data.Steps)
 		}
-		if inj.Duration <= 0 {
-			return fmt.Errorf("genload: non-positive injection duration %v", inj.Duration)
+		if !sim.Positive(inj.Duration) {
+			return fmt.Errorf("genload: non-positive or non-finite injection duration %v", inj.Duration)
 		}
 	}
 	return nil
@@ -161,8 +161,8 @@ type TraceNoise struct {
 func (t TraceNoise) Validate() error {
 	for r, row := range t.Noise {
 		for s, v := range row {
-			if v < 0 || v != v {
-				return fmt.Errorf("genload: recorded noise[%d][%d] is negative or NaN", r, s)
+			if !sim.NonNegative(v) {
+				return fmt.Errorf("genload: recorded noise[%d][%d] is negative or non-finite", r, s)
 			}
 		}
 	}

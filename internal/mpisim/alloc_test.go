@@ -59,7 +59,7 @@ func runAllocs(t *testing.T, ranks, steps int, memBound bool) float64 {
 		progs = allocRingPrograms(ranks, steps, sim.Milli(3), 8192)
 	}
 	return testing.AllocsPerRun(50, func() {
-		if _, err := Run(cfg, progs); err != nil {
+		if _, err := RunEngine(cfg, progs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -128,7 +128,7 @@ func TestTraceSegmentsPresizedExactly(t *testing.T) {
 	progs[3] = append(Program{Delay{Duration: sim.Milli(5), Step: 0}}, progs[3]...)
 	cfg := Config{Ranks: ranks, Net: net, Trace: TraceFull,
 		Noise: func(rank, step int) sim.Time { return sim.Micro(10 * float64(1+rank%3)) }}
-	res, err := Run(cfg, progs)
+	res, err := RunEngine(cfg, progs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -377,7 +377,7 @@ func TestTraceModesAgreeOnRandomScenarios(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			full := cfg
 			full.Trace = TraceFull
-			resFull, err := Run(full, progs)
+			resFull, err := RunEngine(full, progs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,14 +386,14 @@ func TestTraceModesAgreeOnRandomScenarios(t *testing.T) {
 			off := cfg
 			off.Trace = TraceOff
 			off.OnWait = tracker.Observe
-			resOff, err := Run(off, progs)
+			resOff, err := RunEngine(off, progs)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			stepsOnly := cfg
 			stepsOnly.Trace = TraceSteps
-			resSteps, err := Run(stepsOnly, progs)
+			resSteps, err := RunEngine(stepsOnly, progs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,9 @@
 // shared-memory-bandwidth execution phases.
 //
 // Each rank runs a Program — a flat list of operations — on top of a
-// discrete-event engine. By default the simulator records a full trace
+// discrete-event engine, or, for lockstep programs, the lockstep solver
+// that computes the same result directly (see "Lockstep solver"). By
+// default the simulator records a full trace
 // (execution, delay, noise, wait and overhead segments plus per-step
 // completion times) for every rank; the analytics in internal/wave
 // consume those traces. Large simulations can instead stream wait
@@ -44,6 +46,41 @@
 // message buffer before answering clear-to-send. Per protocol, order
 // stays FIFO.
 //
+// # Lockstep solver
+//
+// Most of the paper's scenarios are lockstep: every rank runs epochs of
+// the shape Delay* Compute Isend* Irecv* Waitall. For those, each rank's
+// step end is an exact max-plus function of its own and its neighbours'
+// previous step ends (Baccelli et al., Synchronization and Linearity,
+// 1992). Run computes such a run step by step from that recurrence over
+// flat per-rank arrays (lockstep.go), with no event queue, matching lists
+// or request state, and sends every other run to the event engine.
+//
+// A run takes the solver when, as validation checks in its one walk over
+// the ops:
+//   - every epoch has the shape above, with MemBytes == 0 in its Compute,
+//     and every program ends in a Waitall;
+//   - the tags of each rank's epochs rise from epoch to epoch, so no
+//     (source, tag) channel spans two epochs;
+//   - each Isend pairs with an Irecv on its (source, tag) channel in the
+//     receiver's epoch with the same number, and each Irecv with an Isend;
+//   - Progress is GatedRendezvous, EagerMaxOutstanding is 0 and no
+//     communication bandwidth is charged.
+//
+// Any network model and any Shards value qualify; the model must return
+// non-negative, finite costs, or the solver panics. PlanShards reports the
+// decision (ShardDecision.Lockstep and EngineReason).
+//
+// The solver's output is the engine's, byte for byte: the same trace
+// segments per rank in the engine's order (delays, exec, noise, one
+// overhead per send, then the wait), the same StepEnd and End, and
+// Events counted as the events the engine would schedule for each op.
+// Every time is a sum formed in the engine's order. NoiseFunc is called
+// once per Compute, in each rank's step order, with a negative draw
+// clamped to none. OnWait fires for every positive wait in (step, rank)
+// order. lockstep_test.go checks all of this against the engine on
+// randomized scenarios.
+//
 // # Allocation discipline and sparse state
 //
 // The simulator is the hot path of every sweep point, so its per-rank
@@ -69,7 +106,6 @@ package mpisim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/memband"
@@ -187,7 +223,13 @@ func (Waitall) isOp() {}
 type Program []Op
 
 // NoiseFunc returns extra execution time injected into the given rank's
-// execution phase of the given step (fine-grained noise, Eq. 3).
+// execution phase of the given step (fine-grained noise, Eq. 3). It is
+// called once per Compute, in each rank's program order, but the calls
+// of different ranks interleave differently in the serial engine, the
+// shard driver and the lockstep solver. A draw may therefore depend only
+// on the rank and that rank's own call history, never on other ranks'
+// calls; every injector in internal/noise keeps per-rank streams for
+// this reason.
 type NoiseFunc func(rank, step int) sim.Time
 
 // Config parameterizes a simulation run.
@@ -224,18 +266,20 @@ type Config struct {
 	// Trace selects how much of the run is recorded; see TraceMode.
 	Trace TraceMode
 	// OnWait, if non-nil, streams every positive-length Waitall wait
-	// interval the moment it completes, in event order. It fires in
-	// every trace mode, so analytics can run incrementally (see
-	// wave.FrontTracker) without buffering the full trace. In a sharded
-	// run (Shards >= 1) intervals are instead delivered at horizon
-	// boundaries in (end, start, rank, step) order; each rank's own
-	// intervals still arrive in time order, which is the only ordering
-	// the streaming analytics rely on.
+	// interval. It fires in every trace mode, so analytics can run
+	// incrementally (see wave.FrontTracker) without buffering the full
+	// trace. The serial engine delivers intervals the moment they
+	// complete, in event order; the lockstep solver in (step, rank)
+	// order; a sharded engine run (Shards >= 1) at horizon boundaries in
+	// (end, start, rank, step) order. On every path each rank's own
+	// intervals arrive in time order, which is the only ordering the
+	// streaming analytics rely on.
 	OnWait func(rank, step int, start, end sim.Time)
 	// Shards requests conservative parallel execution: the ranks are cut
 	// into that many contiguous partitions, each running its own event
 	// engine on its own goroutine, synchronized through lookahead
-	// horizons (see shard.go). 0 runs the classic serial loop. Any
+	// horizons (see shard.go). 0 runs the classic serial loop. A
+	// lockstep run ignores Shards: the solver computes it whole. Any
 	// positive count produces byte-identical results — scenarios whose
 	// cross-partition interactions carry no lookahead (rendezvous
 	// messages across a cut, finite eager buffers, communication
@@ -530,6 +574,7 @@ type rankShape struct {
 	// (its wait) each record one; an Irecv never does.
 	segments int32
 	steps    int32 // completed steps, one per Waitall
+	sends    int32 // largest Waitall epoch's Isend count
 }
 
 // newRangedSimulation builds a simulation owning global ranks [lo, hi)
@@ -616,15 +661,27 @@ func assembleResult(cfg Config, parts []*simulation, end sim.Time, events uint64
 }
 
 // Run simulates the programs and returns the trace set. It validates the
-// configuration and programs, and reports a deadlock error if any rank is
-// still blocked when no events remain. With Config.Shards > 0 it executes
-// the eligible parallel plan (see shard.go) and falls back to the serial
-// engine otherwise; either way the result is byte-identical to Shards: 0.
+// configuration and programs. A lockstep run (see the package comment)
+// is computed by the lockstep solver; any other run goes to the event
+// engine, which reports a deadlock error if any rank is still blocked
+// when no events remain. With Config.Shards > 0 the engine executes the
+// eligible parallel plan (see shard.go) and falls back to the serial
+// loop otherwise. Every path gives a result byte-identical to the serial
+// engine's.
 func Run(cfg Config, programs []Program) (*Result, error) {
-	shapes, err := validate(cfg, programs)
+	shapes, reason, err := validate(cfg, programs, false)
 	if err != nil {
 		return nil, err
 	}
+	if reason == "" {
+		return runLockstep(cfg, programs, shapes), nil
+	}
+	return runEngine(cfg, programs, shapes)
+}
+
+// runEngine runs the event engine: the parallel plan with Shards > 0,
+// else the serial loop. The caller has already validated.
+func runEngine(cfg Config, programs []Program, shapes []rankShape) (*Result, error) {
 	if cfg.Shards > 0 {
 		return runSharded(cfg, programs, shapes)
 	}
@@ -640,86 +697,129 @@ func runSerial(cfg Config, programs []Program, shapes []rankShape) (*Result, err
 }
 
 // validate checks the configuration and programs and, in the same walk
-// over every op, measures each rank's shape.
-func validate(cfg Config, programs []Program) ([]rankShape, error) {
+// over every op, measures each rank's shape. Rank by rank it also
+// decides whether the lockstep solver can compute the run: it returns
+// why not, or "". With engineOnly it skips that decision and says the
+// engine was requested.
+func validate(cfg Config, programs []Program, engineOnly bool) (shapes []rankShape, lockReason string, err error) {
 	if cfg.Ranks <= 0 {
-		return nil, fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
+		return nil, "", fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
 	}
 	if cfg.Net == nil {
-		return nil, fmt.Errorf("mpisim: nil network model")
+		return nil, "", fmt.Errorf("mpisim: nil network model")
 	}
 	if len(programs) != cfg.Ranks {
-		return nil, fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
+		return nil, "", fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
 	}
 	if cfg.EagerMaxOutstanding < 0 {
-		return nil, fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
+		return nil, "", fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
 	}
-	if cfg.CoreBandwidth < 0 {
-		return nil, fmt.Errorf("mpisim: negative core bandwidth %g", cfg.CoreBandwidth)
+	if !(cfg.CoreBandwidth >= 0) {
+		return nil, "", fmt.Errorf("mpisim: negative or NaN core bandwidth %g", cfg.CoreBandwidth)
 	}
 	if cfg.Trace < TraceFull || cfg.Trace > TraceOff {
-		return nil, fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
+		return nil, "", fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
+		return nil, "", fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
 	}
 	if cfg.NoiseFactory != nil && cfg.Noise == nil {
-		return nil, fmt.Errorf("mpisim: NoiseFactory set without Noise")
+		return nil, "", fmt.Errorf("mpisim: NoiseFactory set without Noise")
 	}
 	var computeSegs int32 = 1
 	if cfg.Noise != nil {
 		computeSegs = 2
 	}
-	shapes := make([]rankShape, cfg.Ranks)
+	lockReason = lockstepConfigReason(cfg)
+	if engineOnly {
+		lockReason = "event engine requested"
+	}
+	var pairs *pairCheck // nil once the run is off the solver
+	var ep []epochMsg
+	if lockReason == "" {
+		pairs = newPairCheck(cfg.Ranks)
+	}
+	shapes = make([]rankShape, cfg.Ranks)
 	needMem := false
 	for rnk, p := range programs {
 		sh := &shapes[rnk]
-		var reqs, recvs int32 // of the current epoch
+		var reqs, recvs, sends int32 // of the current epoch
+		// lk steps the lockstep epoch shape (shapeNext), and ep collects
+		// the epoch's messages for the pairing check.
+		lk := shapeIdle
+		if pairs == nil {
+			lk = shapeOff
+		}
+		ep = ep[:0]
 		for pc, op := range p {
 			switch op := op.(type) {
 			case Isend:
 				if op.To < 0 || op.To >= cfg.Ranks {
-					return nil, fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
 				}
 				if op.To == rnk {
-					return nil, fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
 				}
 				if op.Bytes < 0 {
-					return nil, fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
 				}
 				reqs++
+				sends++
 				sh.segments++
+				if lk = shapeNext[lk&3][kindIsend]; lk != shapeOff {
+					ep = append(ep, epochMsg{tag: op.Tag, peer: int32(op.To)})
+				}
 			case Irecv:
 				if op.From < 0 || op.From >= cfg.Ranks {
-					return nil, fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
 				}
 				if op.From == rnk {
-					return nil, fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
 				}
 				if op.Bytes < 0 {
-					return nil, fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
 				}
 				reqs++
 				recvs++
-			case Compute:
-				if op.Duration < 0 || op.MemBytes < 0 {
-					return nil, fmt.Errorf("mpisim: rank %d op %d negative compute", rnk, pc)
+				if lk = shapeNext[lk&3][kindIrecv]; lk != shapeOff {
+					ep = append(ep, epochMsg{tag: op.Tag, peer: int32(op.From), recv: true})
 				}
+			case Compute:
+				if !sim.NonNegative(op.Duration) || !sim.NonNegative(op.MemBytes) {
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite compute", rnk, pc)
+				}
+				lk = shapeNext[lk&3][kindCompute]
 				if op.MemBytes > 0 {
-					needMem = true
+					needMem, lk = true, shapeOff
 				}
 				sh.segments += computeSegs
 			case Delay:
-				if op.Duration < 0 {
-					return nil, fmt.Errorf("mpisim: rank %d op %d negative delay", rnk, pc)
+				if !sim.NonNegative(op.Duration) {
+					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite delay", rnk, pc)
 				}
 				sh.segments++
+				lk = shapeNext[lk&3][kindDelay]
 			case Waitall:
 				sh.window = max(sh.window, reqs)
 				sh.recvs = max(sh.recvs, recvs)
-				reqs, recvs = 0, 0
+				sh.sends = max(sh.sends, sends)
+				reqs, recvs, sends = 0, 0, 0
+				if lk = shapeNext[lk&3][kindWaitall]; lk != shapeOff && !pairs.endEpoch(ep, sh.steps) {
+					lk = shapeOff
+				}
+				ep = ep[:0]
 				sh.segments++
 				sh.steps++
+			}
+		}
+		if pairs != nil {
+			if lk == shapeOff {
+				lockReason = lockFault(rnk, p)
+			} else {
+				lockReason = pairs.end(rnk, p)
+			}
+			if lockReason != "" {
+				pairs = nil
 			}
 		}
 		// A trailing epoch with no Waitall still posts its requests.
@@ -728,13 +828,13 @@ func validate(cfg Config, programs []Program) ([]rankShape, error) {
 	}
 	if needMem {
 		if cfg.SocketOf == nil {
-			return nil, fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
+			return nil, "", fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
 		}
-		if cfg.SocketBandwidth <= 0 {
-			return nil, fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
+		if !(cfg.SocketBandwidth > 0) {
+			return nil, "", fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
 		}
 	}
-	return shapes, nil
+	return shapes, lockReason, nil
 }
 
 // socket returns the rank group's bandwidth resource, materializing it
@@ -1134,12 +1234,6 @@ func (st rankState) String() string {
 	}
 }
 
-// StepDurations returns, for a silent homogeneous run, the expected
-// duration of one compute-communicate period given the per-step execution
-// time and the communication time of one message; a helper for tests and
-// analytic overlays.
-func StepDurations(texec, tcomm sim.Time) sim.Time { return texec + tcomm }
-
 // OpName returns the diagnostic name of an op's concrete type ("mpisim.
 // Compute", "mpisim.Isend", ...) through a typed switch — no reflection
 // on the hot path of program statistics.
@@ -1168,15 +1262,4 @@ func CountOps(p Program) map[string]int {
 		counts[OpName(op)]++
 	}
 	return counts
-}
-
-// OpNames lists the distinct op type names present in a program, sorted.
-func OpNames(p Program) []string {
-	set := CountOps(p)
-	names := make([]string, 0, len(set))
-	for k := range set {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

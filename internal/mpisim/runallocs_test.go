@@ -39,7 +39,7 @@ func TestRunAllocsPerRank(t *testing.T) {
 	}
 	cfg := mpisim.Config{Ranks: ranks, Net: net, Trace: mpisim.TraceOff}
 	perRank := testing.AllocsPerRun(5, func() {
-		if _, err := mpisim.Run(cfg, progs); err != nil {
+		if _, err := mpisim.RunEngine(cfg, progs); err != nil {
 			t.Fatal(err)
 		}
 	}) / ranks

@@ -88,32 +88,44 @@ type shardPlan struct {
 	look    [][]sim.Time
 }
 
-// ShardDecision reports how Run executes a configuration: the partition
-// bounds when the parallel plan is eligible, or the reason the run uses
-// the serial engine. Exposed for diagnostics and tests; Run makes the
-// same decision internally.
+// ShardDecision reports how Run executes a configuration: whether the
+// lockstep solver computes it, and the shard plan the event engine would
+// use — the partition bounds when the parallel plan is eligible, or the
+// reason the engine runs serially. Exposed for diagnostics and tests;
+// Run makes the same decisions internally.
 type ShardDecision struct {
 	// Bounds holds the shard boundaries (shard k owns ranks
-	// [Bounds[k], Bounds[k+1])); nil when the run is serial.
+	// [Bounds[k], Bounds[k+1])); nil when the engine would run serially.
 	Bounds []int
-	// Reason is non-empty exactly when the run is serial.
+	// Reason is non-empty exactly when the engine would run serially.
 	Reason string
+	// Lockstep reports that the lockstep solver computes the run, so
+	// neither the serial engine nor the shard driver runs.
+	Lockstep bool
+	// EngineReason says why the event engine runs; it is empty exactly
+	// when Lockstep is set.
+	EngineReason string
 }
 
 // PlanShards validates the configuration and reports the execution plan
 // Run would use for it.
 func PlanShards(cfg Config, programs []Program) (ShardDecision, error) {
-	if _, err := validate(cfg, programs); err != nil {
+	_, reason, err := validate(cfg, programs, false)
+	if err != nil {
 		return ShardDecision{}, err
 	}
+	dec := ShardDecision{Lockstep: reason == "", EngineReason: reason}
 	if cfg.Shards <= 0 {
-		return ShardDecision{Reason: "serial requested (Shards=0)"}, nil
+		dec.Reason = "serial requested (Shards=0)"
+		return dec, nil
 	}
-	plan, reason := planShards(cfg, programs)
+	plan, why := planShards(cfg, programs)
 	if plan == nil {
-		return ShardDecision{Reason: reason}, nil
+		dec.Reason = why
+		return dec, nil
 	}
-	return ShardDecision{Bounds: plan.bounds}, nil
+	dec.Bounds = plan.bounds
+	return dec, nil
 }
 
 // planShards builds the partition and checks eligibility. It returns a

@@ -48,7 +48,7 @@ func runAtShards(t *testing.T, cfg Config, progs []Program, topo equivTopology, 
 		// a fresh instance (all instances replay identical streams).
 		full.Noise = cfg.NoiseFactory()
 	}
-	res, err := Run(full, progs)
+	res, err := RunEngine(full, progs)
 	if err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
@@ -61,7 +61,7 @@ func runAtShards(t *testing.T, cfg Config, progs []Program, topo equivTopology, 
 	if cfg.NoiseFactory != nil {
 		off.Noise = cfg.NoiseFactory()
 	}
-	resOff, err := Run(off, progs)
+	resOff, err := RunEngine(off, progs)
 	if err != nil {
 		t.Fatalf("shards=%d TraceOff: %v", shards, err)
 	}
@@ -353,7 +353,7 @@ func TestShardOnWaitPerRankOrder(t *testing.T) {
 		},
 		Shards: 3,
 	}
-	if _, err := Run(cfg, progs); err != nil {
+	if _, err := RunEngine(cfg, progs); err != nil {
 		t.Fatal(err)
 	}
 	if len(lastEnd) == 0 {
@@ -471,5 +471,47 @@ func TestShardValidate(t *testing.T) {
 	cfg := Config{Ranks: 1, Net: net, NoiseFactory: func() NoiseFunc { return nil }}
 	if _, err := Run(cfg, progs); err == nil || !strings.Contains(err.Error(), "NoiseFactory") {
 		t.Fatalf("NoiseFactory without Noise accepted (err=%v)", err)
+	}
+}
+
+// TestPlanReportsLockstep pins the two decisions PlanShards reports side
+// by side: the shard plan keeps its meaning whether or not the lockstep
+// solver takes the run, and EngineReason is set exactly when it does not.
+func TestPlanReportsLockstep(t *testing.T) {
+	const ranks = 24
+	net := testNet(t)
+	texec := sim.Milli(1)
+	topo, err := topology.NewChain(ranks, 1, topology.Bidirectional, topology.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := equivPrograms(topo, 2, texec, 8192, 0, 0, texec, 0)
+	memBound := equivPrograms(topo, 2, texec, 8192, 0, 0, texec, 5e6)
+	sockets := Config{Ranks: ranks, Net: net, Shards: 2, SocketOf: func(rank int) int { return rank / 4 }, SocketBandwidth: 40e9}
+	cases := []struct {
+		name     string
+		cfg      Config
+		progs    []Program
+		sharded  bool
+		lockstep bool
+		engine   string // EngineReason substring
+	}{
+		{"eager chain, serial", Config{Ranks: ranks, Net: net}, eager, false, true, ""},
+		{"eager chain, two shards", Config{Ranks: ranks, Net: net, Shards: 2}, eager, true, true, ""},
+		{"memory-bound chain, two shards", sockets, memBound, true, false, "memory-bound Compute"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dec, err := PlanShards(tc.cfg, tc.progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (dec.Bounds != nil) != tc.sharded || (dec.Reason == "") != tc.sharded {
+				t.Errorf("bounds %v, reason %q; want sharded=%v", dec.Bounds, dec.Reason, tc.sharded)
+			}
+			if dec.Lockstep != tc.lockstep || (dec.EngineReason == "") != tc.lockstep || !strings.Contains(dec.EngineReason, tc.engine) {
+				t.Errorf("Lockstep %v, EngineReason %q; want lockstep=%v mentioning %q", dec.Lockstep, dec.EngineReason, tc.lockstep, tc.engine)
+			}
+		})
 	}
 }

@@ -71,11 +71,11 @@ type Hockney struct {
 
 // NewHockney validates and builds a Hockney model.
 func NewHockney(latency sim.Time, bandwidth float64, eagerLimit int) (*Hockney, error) {
-	if latency < 0 {
-		return nil, fmt.Errorf("netmodel: negative latency %v", latency)
+	if !sim.NonNegative(latency) {
+		return nil, fmt.Errorf("netmodel: negative or non-finite latency %v", latency)
 	}
-	if bandwidth <= 0 {
-		return nil, fmt.Errorf("netmodel: non-positive bandwidth %g", bandwidth)
+	if !sim.Positive(bandwidth) {
+		return nil, fmt.Errorf("netmodel: non-positive or non-finite bandwidth %g", bandwidth)
 	}
 	if eagerLimit < 0 {
 		return nil, fmt.Errorf("netmodel: negative eager limit %d", eagerLimit)
@@ -119,8 +119,8 @@ type LogGOPS struct {
 // NewLogGOPS validates and builds a LogGOPS model.
 func NewLogGOPS(l, oSend, oRecv, g, oByte sim.Time, eagerLimit int) (*LogGOPS, error) {
 	for _, v := range []sim.Time{l, oSend, oRecv, g, oByte} {
-		if v < 0 {
-			return nil, fmt.Errorf("netmodel: negative LogGOPS parameter")
+		if !sim.NonNegative(v) {
+			return nil, fmt.Errorf("netmodel: negative or non-finite LogGOPS parameter")
 		}
 	}
 	if eagerLimit < 0 {

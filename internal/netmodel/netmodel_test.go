@@ -49,6 +49,19 @@ func TestHockneyValidation(t *testing.T) {
 	if _, err := NewHockney(0, 1, -1); err == nil {
 		t.Error("negative eager limit accepted")
 	}
+	for name, c := range map[string]struct {
+		lat sim.Time
+		bw  float64
+	}{
+		"NaN latency":        {sim.Time(math.NaN()), 1e9},
+		"infinite latency":   {sim.Time(math.Inf(1)), 1e9},
+		"NaN bandwidth":      {0, math.NaN()},
+		"infinite bandwidth": {0, math.Inf(1)},
+	} {
+		if _, err := NewHockney(c.lat, c.bw, 0); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestLogGOPSCosts(t *testing.T) {
@@ -74,6 +87,12 @@ func TestLogGOPSValidation(t *testing.T) {
 	}
 	if _, err := NewLogGOPS(0, 0, 0, 0, 0, -5); err == nil {
 		t.Error("negative eager limit accepted")
+	}
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
+	for i, p := range [][5]sim.Time{{nan, 0, 0, 0, 0}, {0, nan, 0, 0, 0}, {0, 0, inf, 0, 0}, {0, 0, 0, nan, 0}, {0, 0, 0, 0, inf}} {
+		if _, err := NewLogGOPS(p[0], p[1], p[2], p[3], p[4], 0); err == nil {
+			t.Errorf("non-finite parameter %d accepted", i)
+		}
 	}
 }
 

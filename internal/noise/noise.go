@@ -82,11 +82,11 @@ func (p Profile) Validate() error {
 	}
 	total := 0.0
 	for i, c := range p.Components {
-		if c.Weight < 0 {
-			return fmt.Errorf("noise: profile %q component %d has negative weight", p.Name, i)
+		if !sim.NonNegative(c.Weight) {
+			return fmt.Errorf("noise: profile %q component %d has a negative or non-finite weight", p.Name, i)
 		}
-		if c.Mean < 0 || c.Cap < 0 || c.Offset < 0 {
-			return fmt.Errorf("noise: profile %q component %d has negative parameter", p.Name, i)
+		if !sim.NonNegative(c.Mean) || !sim.NonNegative(c.Cap) || !sim.NonNegative(c.Offset) {
+			return fmt.Errorf("noise: profile %q component %d has a negative or non-finite parameter", p.Name, i)
 		}
 		total += c.Weight
 	}

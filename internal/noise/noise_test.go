@@ -71,6 +71,11 @@ func TestProfileValidate(t *testing.T) {
 		{Name: "negweight", Components: []ProfileComponent{{Weight: -1, Mean: 1}}},
 		{Name: "negmean", Components: []ProfileComponent{{Weight: 1, Mean: -1}}},
 		{Name: "zeroweight", Components: []ProfileComponent{{Weight: 0, Mean: 1}}},
+		{Name: "nanweight", Components: []ProfileComponent{{Weight: math.NaN(), Mean: 1}}},
+		{Name: "infweight", Components: []ProfileComponent{{Weight: math.Inf(1), Mean: 1}}},
+		{Name: "nanmean", Components: []ProfileComponent{{Weight: 1, Mean: sim.Time(math.NaN())}}},
+		{Name: "nancap", Components: []ProfileComponent{{Weight: 1, Mean: 1, Cap: sim.Time(math.NaN())}}},
+		{Name: "infoffset", Components: []ProfileComponent{{Weight: 1, Mean: 1, Offset: sim.Time(math.Inf(1))}}},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {

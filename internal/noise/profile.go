@@ -52,8 +52,8 @@ type ExponentialNoise struct {
 
 // Validate implements NoiseProfile.
 func (e ExponentialNoise) Validate() error {
-	if e.Level < 0 || e.Mean < 0 || e.Cap < 0 {
-		return fmt.Errorf("noise: exponential component has a negative parameter")
+	if !sim.NonNegative(e.Level) || !sim.NonNegative(e.Mean) || !sim.NonNegative(e.Cap) {
+		return fmt.Errorf("noise: exponential component has a negative or non-finite parameter")
 	}
 	if e.Level > 0 && e.Mean > 0 {
 		return fmt.Errorf("noise: exponential component sets both Level and Mean; pick one")
@@ -141,17 +141,17 @@ type BimodalNoise struct {
 
 // Validate implements NoiseProfile.
 func (b BimodalNoise) Validate() error {
-	if b.Mean < 0 || b.Cap < 0 || b.SpikeMean < 0 || b.SpikeOffset < 0 {
-		return fmt.Errorf("noise: bimodal component has a negative parameter")
+	if !sim.NonNegative(b.Mean) || !sim.NonNegative(b.Cap) || !sim.NonNegative(b.SpikeMean) || !sim.NonNegative(b.SpikeOffset) {
+		return fmt.Errorf("noise: bimodal component has a negative or non-finite parameter")
 	}
 	if b.Mean == 0 {
 		return fmt.Errorf("noise: bimodal component needs a bulk Mean")
 	}
-	if b.SpikeWeight <= 0 || b.SpikeWeight >= 1 {
+	if !(b.SpikeWeight > 0 && b.SpikeWeight < 1) {
 		return fmt.Errorf("noise: bimodal spike weight %g outside (0, 1)", b.SpikeWeight)
 	}
-	if b.BulkWeight < 0 {
-		return fmt.Errorf("noise: bimodal component has a negative bulk weight")
+	if !sim.NonNegative(b.BulkWeight) {
+		return fmt.Errorf("noise: bimodal component has a negative or non-finite bulk weight")
 	}
 	if b.SpikeMean == 0 {
 		return fmt.Errorf("noise: bimodal component needs a SpikeMean")
@@ -222,10 +222,10 @@ type PeriodicNoise struct {
 
 // Validate implements NoiseProfile.
 func (p PeriodicNoise) Validate() error {
-	if p.Duration <= 0 {
+	if !sim.Positive(p.Duration) {
 		return fmt.Errorf("noise: periodic component needs a positive duration, got %v", float64(p.Duration))
 	}
-	if p.Period <= 0 {
+	if !sim.Positive(p.Period) {
 		return fmt.Errorf("noise: periodic component needs a positive period, got %v", float64(p.Period))
 	}
 	return nil

@@ -66,6 +66,10 @@ func TestExponentialNoiseValidate(t *testing.T) {
 		{Level: 0.5, Mean: 1e-6}, // both set
 		{Level: -1},              // negative
 		{Mean: 1e-6, Cap: -1},    // negative cap
+		{Level: math.NaN()},      // NaN level
+		{Level: math.Inf(1)},     // infinite level
+		{Mean: sim.Time(math.NaN())},
+		{Mean: 1e-6, Cap: sim.Time(math.Inf(1))},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -77,6 +81,33 @@ func TestExponentialNoiseValidate(t *testing.T) {
 	}
 	if _, err := (ExponentialNoise{Mean: sim.Micro(2)}).Build(1, 0); err != nil {
 		t.Errorf("absolute mean with texec=0 rejected: %v", err)
+	}
+}
+
+// TestComponentValidateRejectsNonFinite has one row per bimodal and
+// periodic parameter that an ordered comparison alone let through as
+// NaN or infinity.
+func TestComponentValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
+	ok := BimodalNoise{Mean: 1e-6, SpikeWeight: 0.1, SpikeMean: 1e-6}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid bimodal rejected: %v", err)
+	}
+	bad := map[string]NoiseProfile{
+		"bimodal NaN mean":           func() BimodalNoise { b := ok; b.Mean = nan; return b }(),
+		"bimodal infinite cap":       func() BimodalNoise { b := ok; b.Cap = inf; return b }(),
+		"bimodal NaN spike mean":     func() BimodalNoise { b := ok; b.SpikeMean = nan; return b }(),
+		"bimodal NaN offset":         func() BimodalNoise { b := ok; b.SpikeOffset = nan; return b }(),
+		"bimodal NaN weight":         func() BimodalNoise { b := ok; b.SpikeWeight = math.NaN(); return b }(),
+		"bimodal NaN bulk weight":    func() BimodalNoise { b := ok; b.BulkWeight = math.NaN(); return b }(),
+		"periodic NaN duration":      PeriodicNoise{Duration: nan, Period: 1e-3},
+		"periodic infinite duration": PeriodicNoise{Duration: inf, Period: 1e-3},
+		"periodic NaN period":        PeriodicNoise{Duration: 1e-6, Period: nan},
+	}
+	for name, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

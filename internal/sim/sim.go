@@ -69,6 +69,14 @@ func FormatDuration(t Time) string {
 	return time.Duration(math.Round(float64(t) * 1e9)).String()
 }
 
+// NonNegative reports whether x is a finite number >= 0. Validators use
+// it instead of x < 0, which lets NaN through, and it also rejects both
+// infinities.
+func NonNegative[T ~float64](x T) bool { return x >= 0 && !math.IsInf(float64(x), 1) }
+
+// Positive reports whether x is a finite number > 0.
+func Positive[T ~float64](x T) bool { return x > 0 && !math.IsInf(float64(x), 1) }
+
 // Micros reports t in microseconds.
 func (t Time) Micros() float64 { return float64(t) * 1e6 }
 

@@ -36,6 +36,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/sim"
 )
 
 // MagicV2 identifies a trace v2 file (Idle Wave Trace, format 2).
@@ -109,8 +111,8 @@ func (r Recorded) Validate() error {
 				return fmt.Errorf("trace: %s matrix rank %d has %d steps, header says %d", name, rk, len(row), r.Steps)
 			}
 			for s, v := range row {
-				if v < 0 || v != v {
-					return fmt.Errorf("trace: %s[%d][%d] is negative or NaN", name, rk, s)
+				if !sim.NonNegative(v) {
+					return fmt.Errorf("trace: %s[%d][%d] is negative or non-finite", name, rk, s)
 				}
 			}
 		}

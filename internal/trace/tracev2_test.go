@@ -199,6 +199,7 @@ func TestRecordedValidate(t *testing.T) {
 		func(r *Recorded) { r.Noise[0] = r.Noise[0][:1] },
 		func(r *Recorded) { r.Exec[1][2] = -1 },
 		func(r *Recorded) { r.Delay[0][0] = math.NaN() },
+		func(r *Recorded) { r.Noise[1][0] = math.Inf(1) },
 	}
 	for i, mutate := range cases {
 		rec := sampleRecorded()

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/noise"
@@ -145,11 +146,14 @@ func TestDerivedValidateMatchesPrograms(t *testing.T) {
 	bad := []Workload{
 		StreamTriad{Ranks: 2, Steps: 1, WorkingSet: 1, MessageBytes: 1},
 		StreamTriad{Ranks: 5, Steps: 1, WorkingSet: 0, MessageBytes: 1},
+		StreamTriad{Ranks: 5, Steps: 1, WorkingSet: math.NaN(), MessageBytes: 1},
+		StreamTriad{Ranks: 5, Steps: 1, WorkingSet: math.Inf(1), MessageBytes: 1},
 		StreamTriad{Ranks: 5, Steps: 0, WorkingSet: 1, MessageBytes: 1},
 		LBM{Ranks: 1, Steps: 1, CellsPerDim: 10},
 		LBM{Ranks: 10, Steps: 1, CellsPerDim: 0},
 		DivideKernel{Ranks: 1, Steps: 1, PhaseTime: 1},
 		DivideKernel{Ranks: 4, Steps: 1, PhaseTime: 0},
+		DivideKernel{Ranks: 4, Steps: 1, PhaseTime: sim.Time(math.NaN())},
 		DivideKernel{Ranks: 4, Steps: 1, PhaseTime: sim.Milli(3),
 			Injections: []noise.Injection{{Rank: 99, Step: 0, Duration: 1}}},
 	}

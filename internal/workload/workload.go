@@ -122,8 +122,8 @@ func (b BulkSync) Validate() error {
 	if b.Steps <= 0 {
 		return fmt.Errorf("workload: need positive step count, got %d", b.Steps)
 	}
-	if b.Texec < 0 || b.MemBytes < 0 {
-		return fmt.Errorf("workload: negative execution phase")
+	if !sim.NonNegative(b.Texec) || !sim.NonNegative(b.MemBytes) {
+		return fmt.Errorf("workload: negative or non-finite execution phase")
 	}
 	if b.Texec == 0 && b.MemBytes == 0 {
 		return fmt.Errorf("workload: execution phase has zero length")
@@ -138,8 +138,8 @@ func (b BulkSync) Validate() error {
 		if inj.Step < 0 || inj.Step >= b.Steps {
 			return fmt.Errorf("workload: injection step %d out of range", inj.Step)
 		}
-		if inj.Duration <= 0 {
-			return fmt.Errorf("workload: non-positive injection duration %v", inj.Duration)
+		if !sim.Positive(inj.Duration) {
+			return fmt.Errorf("workload: non-positive or non-finite injection duration %v", inj.Duration)
 		}
 	}
 	return nil
@@ -247,8 +247,8 @@ func (s StreamTriad) bulk() (BulkSync, error) {
 	if s.Ranks < 3 {
 		return BulkSync{}, fmt.Errorf("workload: stream triad needs >= 3 ranks for a ring, got %d", s.Ranks)
 	}
-	if s.WorkingSet <= 0 {
-		return BulkSync{}, fmt.Errorf("workload: non-positive working set")
+	if !sim.Positive(s.WorkingSet) {
+		return BulkSync{}, fmt.Errorf("workload: non-positive or non-finite working set")
 	}
 	topo, err := resolveTopo(s.Topo, s.Ranks, topology.Periodic)
 	if err != nil {
@@ -508,8 +508,8 @@ func (d DivideKernel) bulk() (BulkSync, error) {
 	if d.Ranks < 2 {
 		return BulkSync{}, fmt.Errorf("workload: divide kernel needs >= 2 ranks, got %d", d.Ranks)
 	}
-	if d.PhaseTime <= 0 {
-		return BulkSync{}, fmt.Errorf("workload: non-positive phase time %v", d.PhaseTime)
+	if !sim.Positive(d.PhaseTime) {
+		return BulkSync{}, fmt.Errorf("workload: non-positive or non-finite phase time %v", d.PhaseTime)
 	}
 	topo, err := resolveTopo(d.Topo, d.Ranks, topology.Open)
 	if err != nil {

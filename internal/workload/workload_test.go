@@ -36,6 +36,9 @@ func TestBulkSyncValidate(t *testing.T) {
 		{"empty topology", func(b *BulkSync) { b.Topo = topology.Chain{} }},
 		{"zero steps", func(b *BulkSync) { b.Steps = 0 }},
 		{"negative texec", func(b *BulkSync) { b.Texec = -1 }},
+		{"NaN texec", func(b *BulkSync) { b.Texec = sim.Time(math.NaN()) }},
+		{"infinite texec", func(b *BulkSync) { b.Texec = sim.Time(math.Inf(1)) }},
+		{"NaN membytes", func(b *BulkSync) { b.MemBytes = math.NaN() }},
 		{"zero exec", func(b *BulkSync) { b.Texec = 0; b.MemBytes = 0 }},
 		{"zero bytes", func(b *BulkSync) { b.Bytes = 0 }},
 		{"bad injection rank", func(b *BulkSync) {
@@ -46,6 +49,9 @@ func TestBulkSyncValidate(t *testing.T) {
 		}},
 		{"zero injection", func(b *BulkSync) {
 			b.Injections = []noise.Injection{{Rank: 0, Step: 0, Duration: 0}}
+		}},
+		{"NaN injection", func(b *BulkSync) {
+			b.Injections = []noise.Injection{{Rank: 0, Step: 0, Duration: sim.Time(math.NaN())}}
 		}},
 	}
 	for _, c := range cases {

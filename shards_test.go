@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/mpisim"
 )
 
 // shardLadder returns the shard counts the public invariance tests walk:
@@ -18,6 +20,92 @@ func shardLadder() []int {
 	return ladder
 }
 
+// shardScenarios returns the scenarios the public shard tests run:
+// traceModeScenarios, whose bulk-synchronous programs take the lockstep
+// solver whatever Shards says, and a process-style chain that the solver
+// declines (its injected delay follows the Compute, and it ends in a
+// dissemination barrier), so that Shards sends it through the
+// parallel-DES driver and the per-shard NoiseFactory rebuild.
+func shardScenarios(t *testing.T) []struct {
+	name   string
+	spec   ScenarioSpec
+	source int
+} {
+	t.Helper()
+	topo, err := NewChain(32, 1, Bidirectional, Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(c *Comm) {
+		r, n := c.Rank(), c.Size()
+		for s := 0; s < 10; s++ {
+			c.Compute(3 * time.Millisecond)
+			if r == 16 && s == 2 {
+				c.Delay(15 * time.Millisecond)
+			}
+			if r+1 < n {
+				c.Isend(r+1, 8192)
+			}
+			if r > 0 {
+				c.Isend(r-1, 8192)
+				c.Irecv(r-1, 8192)
+			}
+			if r+1 < n {
+				c.Irecv(r+1, 8192)
+			}
+			c.Waitall()
+		}
+		c.Barrier()
+	}
+	scs := traceModeScenarios(t)
+	scs = append(scs, struct {
+		name   string
+		spec   ScenarioSpec
+		source int
+	}{
+		name:   "process-chain",
+		spec:   ScenarioSpec{Workload: ProcessWorkload{Ranks: 32, Fn: chain, Topo: topo}},
+		source: 16,
+	})
+	return scs
+}
+
+// TestShardScenariosReachTheShardDriver pins which path each shard
+// scenario takes with Shards set: the bulk-synchronous ones the lockstep
+// solver, the process-style one the parallel-DES driver (PlanShards
+// reports shard bounds and no lockstep), so the shard invariance tests
+// keep covering the driver.
+func TestShardScenariosReachTheShardDriver(t *testing.T) {
+	for _, sc := range shardScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			spec := sc.spec.withDefaults()
+			wl, err := spec.workloadFor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs, err := wl.Programs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := spec.Machine.FlatNetModel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := mpisim.PlanShards(mpisim.Config{Ranks: len(progs), Net: net, Shards: 2}, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLockstep := sc.name != "process-chain"
+			if dec.Lockstep != wantLockstep {
+				t.Fatalf("Lockstep %v (engine reason %q), want %v", dec.Lockstep, dec.EngineReason, wantLockstep)
+			}
+			if !wantLockstep && len(dec.Bounds) != 3 {
+				t.Fatalf("shard bounds %v (reason %q), want a two-shard plan", dec.Bounds, dec.Reason)
+			}
+		})
+	}
+}
+
 // TestShardInvariancePublicAPI is the public face of the parallel-DES
 // determinism contract: Simulate with any ScenarioSpec.Shards value
 // returns byte-identical results — same traces, same runtime, same
@@ -25,7 +113,7 @@ func shardLadder() []int {
 // run on the default Emmy machine, so natural noise plus the injected
 // exponential noise exercise the per-shard NoiseFactory rebuild.
 func TestShardInvariancePublicAPI(t *testing.T) {
-	for _, sc := range traceModeScenarios(t) {
+	for _, sc := range shardScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			spec := sc.spec
 			spec.NoiseLevel = 0.1
@@ -78,7 +166,7 @@ func TestShardInvariancePublicAPI(t *testing.T) {
 // serial full-trace run, even though its OnWait intervals arrive in
 // horizon batches rather than global time order.
 func TestShardInvarianceReducedTrace(t *testing.T) {
-	for _, sc := range traceModeScenarios(t) {
+	for _, sc := range shardScenarios(t) {
 		t.Run(sc.name, func(t *testing.T) {
 			full, err := Simulate(sc.spec)
 			if err != nil {

@@ -4,12 +4,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/mpisim"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // Direction selects unidirectional or bidirectional neighbor exchange
@@ -391,7 +395,8 @@ type SweepTable struct {
 // The returned table is deterministic: the same spec (including Base.Seed)
 // produces identical points at any Workers setting, because every grid
 // point derives its noise streams from its own resolved ScenarioSpec
-// and shares no state with other points.
+// and shares no mutable state with other points (points with equal
+// bulk-synchronous workloads share their read-only programs).
 func Sweep(spec SweepSpec) (*SweepTable, error) {
 	if len(spec.Axes) == 0 {
 		return nil, fmt.Errorf("idlewave: sweep needs at least one axis")
@@ -410,6 +415,7 @@ func Sweep(spec SweepSpec) (*SweepTable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("idlewave: %w", err)
 	}
+	share := &programShare{}
 	points, err := sweep.Map(spec.Workers, grid.Size(), func(i int) (SweepPoint, error) {
 		coords := grid.Coords(i)
 		s := spec.Base
@@ -422,7 +428,7 @@ func Sweep(spec SweepSpec) (*SweepTable, error) {
 		// spec reflects the Machine/Texec/MessageBytes that actually ran
 		// (Simulate applies the same resolution; it is idempotent).
 		s = s.withDefaults()
-		res, err := Simulate(s)
+		res, err := simulate(s, share)
 		if err != nil {
 			return SweepPoint{}, err
 		}
@@ -447,6 +453,65 @@ func Sweep(spec SweepSpec) (*SweepTable, error) {
 		header = append(header, m.Name)
 	}
 	return &SweepTable{Header: header, Points: points}, nil
+}
+
+// programShare lets the points of one Sweep share built programs. Noise
+// and seeds are drawn at run time and never baked into programs, so the
+// points along those axes run identical programs; mpisim only reads
+// programs, so points may run them concurrently. It keeps the last
+// bulk-synchronous program set and hands it to the next point whose
+// workload builds the same; any other workload builds its own. Sharing
+// cannot change a result, only skip a rebuild.
+type programShare struct {
+	mu    sync.Mutex
+	wl    workload.BulkSync
+	progs []mpisim.Program
+}
+
+// programs returns the workload's programs, shared when possible. A nil
+// share always builds.
+func (p *programShare) programs(wl Workload) ([]mpisim.Program, error) {
+	b, ok := wl.(workload.BulkSync)
+	if p == nil || !ok {
+		return wl.Programs()
+	}
+	p.mu.Lock()
+	progs := p.progs
+	if progs != nil && !sameBulk(p.wl, b) {
+		progs = nil
+	}
+	p.mu.Unlock()
+	if progs != nil {
+		return progs, nil
+	}
+	progs, err := b.Programs()
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.wl, p.progs = b, progs
+	p.mu.Unlock()
+	return progs, nil
+}
+
+// sameBulk reports whether two bulk-synchronous workloads build the
+// same programs. Only the built-in chain and grid topologies compare;
+// any other topology never matches.
+func sameBulk(a, b workload.BulkSync) bool {
+	return sameTopology(a.Topo, b.Topo) && a.Steps == b.Steps && a.Texec == b.Texec &&
+		a.MemBytes == b.MemBytes && a.Bytes == b.Bytes && slices.Equal(a.Injections, b.Injections)
+}
+
+func sameTopology(a, b topology.Topology) bool {
+	switch x := a.(type) {
+	case topology.Chain:
+		y, ok := b.(topology.Chain)
+		return ok && x == y
+	case topology.Grid:
+		y, ok := b.(topology.Grid)
+		return ok && x.D == y.D && x.Dir == y.Dir && slices.Equal(x.Extents, y.Extents) && slices.Equal(x.Bounds, y.Bounds)
+	}
+	return false
 }
 
 // table converts to the internal emitter representation.

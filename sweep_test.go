@@ -2,9 +2,15 @@ package idlewave
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // dampingSweep is the shared fixed-seed grid used by the determinism
@@ -187,3 +193,126 @@ func benchSweep(b *testing.B, workers int) {
 		}
 	}
 }
+
+// TestSweepSharedProgramsMatchSimulate pins that points sharing a
+// program set (programShare) compute what a lone Simulate of the same
+// resolved spec computes: a grid whose seed and noise axes keep the
+// programs and whose delay and topology axes change them, with two
+// workers racing over the shared slot.
+func TestSweepSharedProgramsMatchSimulate(t *testing.T) {
+	ring, err := NewChain(12, 1, Bidirectional, Periodic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := topology.Torus2D(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []Topology{ring, torus}
+	delays := [][]Injection{{Inject(3, 1, 10*time.Millisecond)}, {Inject(3, 1, 10*time.Millisecond), Inject(5, 2, time.Millisecond)}}
+	spec := SweepSpec{
+		Base: ScenarioSpec{Steps: 8, Machine: Emmy()},
+		Axes: []SweepAxis{
+			{Name: "topo", Labels: []string{"ring", "torus"}, Apply: func(s *ScenarioSpec, i int) { s.Topology = topos[i] }},
+			{Name: "delay", Labels: []string{"one", "two"}, Apply: func(s *ScenarioSpec, i int) { s.Delay = delays[i] }},
+			NoiseAxis(0, 0.05),
+			SeedAxis(1, 2, 3),
+		},
+		Metrics: []Metric{MetricTotalIdle(), MetricRuntime(), MetricEvents()},
+		Workers: 2,
+	}
+	tbl, err := Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range tbl.Points {
+		res, err := Simulate(pt.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []float64{res.TotalIdle(), res.End, float64(res.Events)}
+		for i, v := range pt.Values {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Errorf("point %v: %s = %v, lone Simulate gives %v", pt.Labels, tbl.Header[len(pt.Labels)+i], v, want[i])
+			}
+		}
+	}
+}
+
+// TestSameBulk pins which workloads share programs: equal chains and
+// grids match; a different field, a different injection list or a
+// topology outside the built-in chain and grid never does.
+func TestSameBulk(t *testing.T) {
+	chain := topology.Chain{N: 8, D: 1, Dir: Bidirectional, Bound: Periodic}
+	grid, err := topology.Torus2D(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridCopy, err := topology.Torus2D(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := workload.BulkSync{Topo: chain, Steps: 4, Texec: sim.Milli(3), Bytes: 8192,
+		Injections: []Injection{Inject(1, 1, time.Millisecond)}}
+	with := func(f func(*workload.BulkSync)) workload.BulkSync {
+		b := base
+		b.Injections = slices.Clone(base.Injections)
+		f(&b)
+		return b
+	}
+	cases := []struct {
+		name string
+		b    workload.BulkSync
+		same bool
+	}{
+		{"equal chain", with(func(*workload.BulkSync) {}), true},
+		{"steps", with(func(b *workload.BulkSync) { b.Steps++ }), false},
+		{"texec", with(func(b *workload.BulkSync) { b.Texec *= 2 }), false},
+		{"bytes", with(func(b *workload.BulkSync) { b.Bytes++ }), false},
+		{"membytes", with(func(b *workload.BulkSync) { b.MemBytes = 1 }), false},
+		{"injection", with(func(b *workload.BulkSync) { b.Injections[0].Rank = 2 }), false},
+		{"no injection", with(func(b *workload.BulkSync) { b.Injections = nil }), false},
+		{"other chain", with(func(b *workload.BulkSync) { b.Topo = topology.Chain{N: 8, D: 1, Dir: Bidirectional, Bound: Open} }), false},
+		{"grid vs chain", with(func(b *workload.BulkSync) { b.Topo = grid }), false},
+		{"custom topology", with(func(b *workload.BulkSync) { b.Topo = customTopo{chain} }), false},
+	}
+	for _, tc := range cases {
+		if got := sameBulk(base, tc.b); got != tc.same {
+			t.Errorf("%s: sameBulk = %v, want %v", tc.name, got, tc.same)
+		}
+	}
+	g1, g2 := base, base
+	g1.Topo, g2.Topo = grid, gridCopy
+	if !sameBulk(g1, g2) {
+		t.Error("equal grids built apart do not share")
+	}
+	if c := (customTopo{chain}); sameBulk(with(func(b *workload.BulkSync) { b.Topo = c }), with(func(b *workload.BulkSync) { b.Topo = c })) {
+		t.Error("a custom topology shares programs")
+	}
+}
+
+// TestSameBulkComparesEveryField fails when BulkSync or Grid gains a
+// field: sameBulk and sameTopology compare the fields one by one, so a
+// new one must be added there (and to TestSameBulk) before points that
+// differ only in it could be handed each other's programs. Chain is
+// compared with ==, which covers any field it gains.
+func TestSameBulkComparesEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ      reflect.Type
+		compared []string
+	}{
+		{reflect.TypeOf(workload.BulkSync{}), []string{"Topo", "Steps", "Texec", "MemBytes", "Bytes", "Injections"}},
+		{reflect.TypeOf(topology.Grid{}), []string{"Extents", "D", "Dir", "Bounds"}},
+	} {
+		var fields []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			fields = append(fields, c.typ.Field(i).Name)
+		}
+		if !slices.Equal(fields, c.compared) {
+			t.Errorf("%v has fields %v; sameBulk compares %v", c.typ, fields, c.compared)
+		}
+	}
+}
+
+// customTopo is a topology type outside the built-in chain and grid.
+type customTopo struct{ topology.Chain }
