@@ -4,7 +4,7 @@ package mpisim
 // lockstep solver would compute it, so the engine, the shard driver and
 // their allocation gates stay under test on lockstep programs too.
 func RunEngine(cfg Config, programs []Program) (*Result, error) {
-	shapes, _, err := validate(cfg, programs, true)
+	shapes, _, _, err := validate(cfg, programs, engineOnly)
 	if err != nil {
 		return nil, err
 	}

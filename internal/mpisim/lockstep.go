@@ -32,9 +32,10 @@ func lockstepConfigReason(cfg Config) string {
 
 // epochMsg is one message of an epoch, in program order.
 type epochMsg struct {
-	tag  int
-	peer int32
-	recv bool
+	tag   int
+	bytes int // an Isend's size; 0 for an Irecv
+	peer  int32
+	recv  bool
 }
 
 // pairBlock is a run of epochs in one direction's traffic between two
@@ -237,9 +238,12 @@ func lockFault(rank int, p Program) string {
 //
 // Per rank, consecutive epochs whose messages repeat the pattern of the
 // run's first epoch (the same peers and directions in the same order,
-// every tag shifted by one amount per epoch) are folded into one pattern
-// run; a run is added to the per-peer pairLists when an epoch breaks it
-// and when the program ends. When a rank's walk ends, its lists with
+// the same Isend sizes, every tag shifted by one amount per epoch, and
+// the Compute and Waitall Steps at the same offsets from the epoch
+// index) are folded into one pattern run; a run is added to the per-peer
+// pairLists when an epoch breaks it and when the program ends. For Run,
+// each pattern run is also one run of the lockSchedule the solver reads,
+// so every epoch is compared once for both. When a rank's walk ends, its lists with
 // each higher rank are parked as a record addressed to that rank, and
 // the records addressed to it are compared with its own lists. Memory
 // follows the pairs whose lower rank has been walked and the higher not
@@ -249,11 +253,16 @@ type pairCheck struct {
 	prevMax int  // largest tag of those epochs
 
 	// The current rank's pattern run: epochs runEpoch..runEpoch+runN-1
-	// repeat pat with every tag shifted by shift per epoch.
-	pat      []epochMsg
-	runEpoch int32
-	runN     int32
-	shift    int
+	// repeat pat with every tag shifted by shift per epoch, and their
+	// Compute and Waitall Steps are the epoch index plus computeOff and
+	// waitOff.
+	pat                 []epochMsg
+	runEpoch            int32
+	runN                int32
+	shift               int
+	computeOff, waitOff int
+
+	sched *lockSchedule // what the walk compiles for the solver; nil unless Run asked
 
 	slot  []int32 // rank -> 1 + its index in peers; 0 = not a peer of the current rank
 	head  []int32 // rank -> first open record addressed to it (1-based)
@@ -262,19 +271,26 @@ type pairCheck struct {
 	free  int32 // first free record (1-based)
 }
 
-func newPairCheck(ranks int) *pairCheck {
+// newPairCheck returns the check for a run of the given ranks; with
+// compile it also compiles the run's lockSchedule.
+func newPairCheck(ranks int, compile bool) *pairCheck {
 	buf := make([]int32, 2*ranks)
-	return &pairCheck{slot: buf[:ranks], head: buf[ranks:]}
+	c := &pairCheck{slot: buf[:ranks], head: buf[ranks:]}
+	if compile {
+		c.sched = &lockSchedule{ranks: ranks}
+	}
+	return c
 }
 
-// endEpoch takes the messages of the current rank's epoch with the given
-// number, in program order. It reports false if a tag does not exceed
-// every tag of the rank's earlier epochs: a (source, tag) channel that
-// spans two epochs lets a later epoch's message overtake into an earlier
-// epoch's receive under the engine's arrival-order matching, which the
-// recurrence does not model. Otherwise it extends the pattern run, or
-// adds the run to the lists and starts a new one with this epoch.
-func (c *pairCheck) endEpoch(ep []epochMsg, epoch int32) bool {
+// endEpoch takes the messages of rank's epoch with the given number, in
+// program order, and the epoch's Compute and Waitall Step. It
+// reports false if a tag does not exceed every tag of the rank's earlier
+// epochs: a (source, tag) channel that spans two epochs lets a later
+// epoch's message overtake into an earlier epoch's receive under the
+// engine's arrival-order matching, which the recurrence does not model.
+// Otherwise it extends the pattern run, or adds the run to the lists and
+// starts a new one with this epoch.
+func (c *pairCheck) endEpoch(rank int, ep []epochMsg, epoch int32, cp Compute, wait int) bool {
 	if len(ep) > 0 {
 		lo, hi := ep[0].tag, ep[0].tag
 		for _, m := range ep[1:] {
@@ -285,14 +301,15 @@ func (c *pairCheck) endEpoch(ep []epochMsg, epoch int32) bool {
 		}
 		c.tagged, c.prevMax = true, hi
 	}
-	if c.runN > 0 && len(ep) == len(c.pat) {
+	computeOff, waitOff := cp.Step-int(epoch), wait-int(epoch)
+	if c.runN > 0 && len(ep) == len(c.pat) && computeOff == c.computeOff && waitOff == c.waitOff {
 		shift := c.shift
 		if c.runN == 1 && len(ep) > 0 {
 			shift = ep[0].tag - c.pat[0].tag
 		}
 		steps, same := int(c.runN), true
 		for k, m := range ep {
-			if q := c.pat[k]; m.peer != q.peer || m.recv != q.recv || m.tag != q.tag+steps*shift {
+			if q := c.pat[k]; m.peer != q.peer || m.recv != q.recv || m.bytes != q.bytes || m.tag != q.tag+steps*shift {
 				same = false
 				break
 			}
@@ -300,12 +317,19 @@ func (c *pairCheck) endEpoch(ep []epochMsg, epoch int32) bool {
 		if same {
 			c.shift = shift
 			c.runN++
+			if c.sched != nil {
+				c.sched.extend(c.runEpoch, epoch, cp.Duration)
+			}
 			return true
 		}
 	}
 	c.flush()
 	c.pat = append(c.pat[:0], ep...)
 	c.runEpoch, c.runN = epoch, 1
+	c.computeOff, c.waitOff = computeOff, waitOff
+	if c.sched != nil {
+		c.sched.open(rank, ep, epoch, cp.Duration, computeOff, waitOff)
+	}
 	return true
 }
 
@@ -410,26 +434,187 @@ func (c *pairCheck) end(rank int, p Program) string {
 		}
 	}
 	c.peers = c.peers[:0]
+	if c.sched != nil && why == "" {
+		c.sched.endRank(rank)
+	}
 	return why
 }
 
+// lockSchedule is a lockstep run compiled for the solver, with no
+// pointers and no boxed ops: Run's validation walk emits it, and
+// runLockstep reads it and shapes instead of the programs. Each rank's
+// epochs are cut into runs, one per pairCheck pattern run, so a
+// bulk-synchronous rank has one run whatever its step count. A run
+// stores its Compute duration while that stays constant; once it varies,
+// the run's durations go into cols. Its Isends are stored as (to - rank,
+// bytes), so neighbouring ranks of a chain or torus send alike: a run
+// shares the previous run's Isends when they are equal, and a rank whose
+// runs equal the previous rank's shares those runs. Delays sit in a side
+// list, so they never break a run, and Irecvs are not stored at all: the
+// pairing check has matched each to its Isend. Every slab is presized or
+// grows by doubling.
+type lockSchedule struct {
+	ranks  int
+	runs   []lockRun   // rank by rank, each rank's in epoch order
+	sends  []lockMsg   // the runs' Isends, shared between equal runs
+	delays []lockDelay // rank by rank, each rank's in program order
+	// cols holds column runs' Compute durations step-major, epoch e of
+	// rank i at e*ranks+i, so the solver reads them in its own order.
+	cols []sim.Time
+	cur  []lockCursor // rank -> its first run and delay; the solver's cursors
+
+	// The rank being walked: where its runs, Isends and delays start in
+	// the slabs, and its column runs' durations in epoch order until
+	// endRank moves them to cols.
+	rankRun, rankSend, rankDelay int32
+	durs                         []sim.Time
+	// The runs the previous rank reads, which the next may share.
+	prevRun, prevN int32
+}
+
+// lockRun is a stretch of one rank's epochs with the same Isends and the
+// same Compute and Waitall Step offsets from the epoch index.
+type lockRun struct {
+	end         int32    // the epoch after the run's last
+	send, nsend int32    // the run's Isends, sends[send:send+nsend]
+	column      bool     // the durations vary: cols holds them
+	last        bool     // the rank's last run
+	dur         sim.Time // every epoch's Compute duration, unless column
+	computeOff  int      // Compute.Step minus the epoch index
+	waitOff     int      // Waitall.Step minus the epoch index
+}
+
+// lockMsg is one Isend of a run.
+type lockMsg struct {
+	to    int32 // the receiver minus the sender
+	bytes int
+}
+
+// lockDelay is one Delay, before the Compute of its rank's epoch.
+type lockDelay struct {
+	epoch, rank int32
+	step        int
+	dur         sim.Time
+}
+
+// lockCursor is where a rank stands in the schedule: its current run, -1
+// once it has finished, and its next delay.
+type lockCursor struct{ run, delay int32 }
+
+// grow returns s with room for n more elements, doubling its capacity
+// when it must grow; append would grow a large slab by a quarter at a
+// time and copy it each time.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), len(s)+n, 16))
+	copy(t, s)
+	return t
+}
+
+// open starts a run of rank with the epoch whose messages are ep.
+func (s *lockSchedule) open(rank int, ep []epochMsg, epoch int32, dur sim.Time, computeOff, waitOff int) {
+	send := int32(len(s.sends))
+	s.sends = grow(s.sends, len(ep))
+	for _, m := range ep {
+		if !m.recv {
+			s.sends = append(s.sends, lockMsg{to: m.peer - int32(rank), bytes: m.bytes})
+		}
+	}
+	nsend := int32(len(s.sends)) - send
+	if n := len(s.runs); n > 0 {
+		if p := &s.runs[n-1]; p.nsend == nsend && slices.Equal(s.sends[p.send:p.send+nsend], s.sends[send:]) {
+			s.sends, send = s.sends[:send], p.send
+		}
+	}
+	s.runs = append(grow(s.runs, 1), lockRun{end: epoch + 1, send: send, nsend: nsend,
+		dur: dur, computeOff: computeOff, waitOff: waitOff})
+}
+
+// extend adds the epoch to the run that started at start. The first
+// duration that differs from the run's makes it a column run, which
+// backfills its earlier epochs.
+func (s *lockSchedule) extend(start, epoch int32, dur sim.Time) {
+	r := &s.runs[len(s.runs)-1]
+	r.end = epoch + 1
+	if !r.column {
+		if dur == r.dur {
+			return
+		}
+		r.column = true
+		for e := start; e < epoch; e++ {
+			s.durs = append(s.durs, r.dur)
+		}
+	}
+	s.durs = append(s.durs, dur)
+}
+
+// addDelay adds a Delay of rank's epoch.
+func (s *lockSchedule) addDelay(rank int, epoch int32, d Delay) {
+	s.delays = append(grow(s.delays, 1), lockDelay{epoch: epoch, rank: int32(rank), step: d.Step, dur: d.Duration})
+}
+
+// endRank closes rank's walk: it marks the rank's last run, moves its
+// column runs' durations into cols, shares the previous rank's runs if
+// they are equal, and sets the rank's cursors.
+func (s *lockSchedule) endRank(rank int) {
+	runs := s.runs[s.rankRun:]
+	runs[len(runs)-1].last = true
+	if s.cur == nil {
+		s.cur = make([]lockCursor, s.ranks)
+	}
+	durs, start := s.durs, int32(0)
+	for _, r := range runs {
+		if r.column {
+			if need := int(r.end) * s.ranks; need > len(s.cols) {
+				t := make([]sim.Time, max(2*len(s.cols), need))
+				copy(t, s.cols)
+				s.cols = t
+			}
+			for e := start; e < r.end; e++ {
+				s.cols[int(e)*s.ranks+rank] = durs[0]
+				durs = durs[1:]
+			}
+		}
+		start = r.end
+	}
+	s.durs = s.durs[:0]
+	first := s.rankRun
+	if prev := s.runs[s.prevRun : s.prevRun+s.prevN]; slices.EqualFunc(prev, runs, s.sameRun) {
+		first = s.prevRun
+		s.runs, s.sends = s.runs[:s.rankRun], s.sends[:s.rankSend]
+	} else {
+		s.prevRun, s.prevN = first, int32(len(runs))
+	}
+	s.cur[rank] = lockCursor{run: first, delay: s.rankDelay}
+	s.rankRun, s.rankSend, s.rankDelay = int32(len(s.runs)), int32(len(s.sends)), int32(len(s.delays))
+}
+
+// sameRun reports whether two runs read alike: a column run's duration
+// is in cols, so only a constant run's counts.
+func (s *lockSchedule) sameRun(a, b lockRun) bool {
+	return a.end == b.end && a.nsend == b.nsend && a.column == b.column && a.last == b.last &&
+		(a.column || a.dur == b.dur) && a.computeOff == b.computeOff && a.waitOff == b.waitOff &&
+		slices.Equal(s.sends[a.send:a.send+a.nsend], s.sends[b.send:b.send+b.nsend])
+}
+
 // lockSend is one Isend of the current step, as the solver's second pass
-// needs it.
+// needs it. Its post time and an eager send's completion are not kept:
+// neither exceeds the sender's R, where the gate and the sender's
+// latest completion start.
 type lockSend struct {
-	// a and b are the eager send's completion and arrival times, or the
-	// rendezvous send's post time and transfer time.
-	a, b  sim.Time
+	x     sim.Time // an eager send's arrival time, or a rendezvous send's transfer time
 	oRecv sim.Time
 	to    int32
 	eager bool
 }
 
-// lockstep is the solver's state: flat per-rank arrays reused across
-// steps.
+// lockstep is the solver's state: the schedule and flat per-rank arrays
+// reused across steps.
 type lockstep struct {
 	cfg   Config
-	progs []Program
-	pc    []int32    // next op; -1 once the rank has finished
+	sched *lockSchedule
 	post  []sim.Time // R: when the rank posted the current step's receives
 	done  []sim.Time // W: the latest completion of the rank's current step
 	nsend []int32    // the rank's Isends in sends this step
@@ -439,8 +624,8 @@ type lockstep struct {
 	end   sim.Time
 }
 
-// runLockstep computes an eligible run. The recurrence, for rank i at
-// step s, with t starting at W_i(s-1):
+// runLockstep computes an eligible run from its schedule. The
+// recurrence, for rank i at step s, with t starting at W_i(s-1):
 //
 //   - the Delays, the Compute's duration and its noise draw (when > 0)
 //     advance t in that order;
@@ -453,9 +638,12 @@ type lockstep struct {
 //     for each rendezvous send, and for each receive max(arrival, R_i)+oR
 //     (eager) or G_from+T+oR (rendezvous).
 //
+// A send's post time and an eager send's completion never exceed R_i,
+// so the solver drops them from the gate and from W_i.
+//
 // Every sum is formed in the engine's order, so the times are bit
 // identical. Events counts what the engine would schedule.
-func runLockstep(cfg Config, programs []Program, shapes []rankShape) *Result {
+func runLockstep(cfg Config, shapes []rankShape, sched *lockSchedule) *Result {
 	n := cfg.Ranks
 	var sends int
 	for _, sh := range shapes {
@@ -463,8 +651,7 @@ func runLockstep(cfg Config, programs []Program, shapes []rankShape) *Result {
 	}
 	s := &lockstep{
 		cfg:   cfg,
-		progs: programs,
-		pc:    make([]int32, n),
+		sched: sched,
 		post:  make([]sim.Time, n),
 		done:  make([]sim.Time, n),
 		nsend: make([]int32, n),
@@ -482,8 +669,8 @@ func runLockstep(cfg Config, programs []Program, shapes []rankShape) *Result {
 		}
 	}
 	events := uint64(n) // every rank's start event
-	for {
-		ev, live := s.postSends()
+	for k := int32(0); ; k++ {
+		ev, live := s.postSends(k)
 		events += ev
 		if !live {
 			break
@@ -507,69 +694,72 @@ func runLockstep(cfg Config, programs []Program, shapes []rankShape) *Result {
 	return &Result{Traces: traces, End: s.end, Events: events}
 }
 
-// postSends is a step's first pass, rank by rank: it ends each rank's
+// postSends is step k's first pass, rank by rank: it ends each rank's
 // previous step, then runs the new step's delays, compute and noise and
 // posts its sends, up to the moment R the receives are posted. It
 // reports the events the engine would schedule for those ops and whether
 // any rank had a step left.
-func (s *lockstep) postSends() (events uint64, live bool) {
-	net, noise := s.cfg.Net, s.cfg.Noise
+func (s *lockstep) postSends(k int32) (events uint64, live bool) {
+	net, noise, sch := s.cfg.Net, s.cfg.Noise, s.sched
 	s.sends = s.sends[:0]
-	for i, p := range s.progs {
-		k := int(s.pc[i])
-		if k < 0 {
+	for i := range sch.cur {
+		cur := &sch.cur[i]
+		if cur.run < 0 {
 			continue
 		}
+		r := &sch.runs[cur.run]
 		t := s.done[i]
 		if k > 0 {
-			s.endWait(i, p[k-1].(Waitall).Step, s.post[i], t)
+			s.endWait(i, int(k-1)+r.waitOff, s.post[i], t)
 		}
-		if k == len(p) {
-			s.pc[i], s.nsend[i] = -1, 0
-			continue
+		if k == r.end {
+			if r.last {
+				cur.run, s.nsend[i] = -1, 0
+				continue
+			}
+			cur.run++
+			r = &sch.runs[cur.run]
 		}
 		live = true
 		var rec *trace.Recorder
 		if s.segs {
 			rec = s.recs[i]
 		}
-		for ; ; k++ {
-			d, ok := p[k].(Delay)
-			if !ok {
+		for ; int(cur.delay) < len(sch.delays); cur.delay++ {
+			d := &sch.delays[cur.delay]
+			if d.rank != int32(i) || d.epoch != k {
 				break
 			}
-			end := t + d.Duration
+			end := t + d.dur
 			if rec != nil {
-				rec.Add(trace.Delay, t, end, d.Step)
+				rec.Add(trace.Delay, t, end, d.step)
 			}
 			t = end
 			events++
 		}
-		c := p[k].(Compute)
-		k++
-		end := t + c.Duration
+		dur := r.dur
+		if r.column {
+			dur = sch.cols[int(k)*sch.ranks+i]
+		}
+		step := int(k) + r.computeOff
+		end := t + dur
 		if rec != nil {
-			rec.Add(trace.Exec, t, end, c.Step)
+			rec.Add(trace.Exec, t, end, step)
 		}
 		t = end
 		events++
 		if noise != nil {
-			if x := noise(i, c.Step); x > 0 {
+			if x := noise(i, step); x > 0 {
 				end := t + x
 				if rec != nil {
-					rec.Add(trace.Noise, t, end, c.Step)
+					rec.Add(trace.Noise, t, end, step)
 				}
 				t = end
 				events++
 			}
 		}
-		first := len(s.sends)
-		for ; ; k++ {
-			snd, ok := p[k].(Isend)
-			if !ok {
-				break
-			}
-			to, b := snd.To, snd.Bytes
+		for _, m := range sch.sends[r.send : r.send+r.nsend] {
+			to, b := i+int(m.to), m.bytes
 			oS, oR, tr := net.SendOverhead(i, to, b), net.RecvOverhead(i, to, b), net.Transfer(i, to, b)
 			if !(oS >= 0 && oR >= 0 && tr >= 0) {
 				panic(fmt.Sprintf("mpisim: network model returned a negative or NaN cost for %d -> %d (%d bytes)", i, to, b))
@@ -577,10 +767,10 @@ func (s *lockstep) postSends() (events uint64, live bool) {
 			// Events: the send's completion, the eager delivery, and the
 			// receive's completion.
 			if net.ProtocolFor(i, to, b) == netmodel.Eager {
-				s.sends = append(s.sends, lockSend{a: t + oS, b: t + oS + tr, oRecv: oR, to: int32(to), eager: true})
+				s.sends = append(s.sends, lockSend{x: t + oS + tr, oRecv: oR, to: int32(to), eager: true})
 				events += 3
 			} else {
-				s.sends = append(s.sends, lockSend{a: t, b: tr, oRecv: oR, to: int32(to)})
+				s.sends = append(s.sends, lockSend{x: tr, oRecv: oR, to: int32(to)})
 				events += 2
 			}
 			if oS > 0 {
@@ -592,13 +782,7 @@ func (s *lockstep) postSends() (events uint64, live bool) {
 				events++
 			}
 		}
-		for ; ; k++ {
-			if _, ok := p[k].(Irecv); !ok {
-				break
-			}
-		}
-		s.pc[i] = int32(k + 1) // past the Waitall
-		s.nsend[i] = int32(len(s.sends) - first)
+		s.nsend[i] = r.nsend
 		s.post[i], s.done[i] = t, t
 	}
 	return events, live
@@ -618,20 +802,18 @@ func (s *lockstep) complete() {
 		g := post[i]
 		for _, x := range own {
 			if !x.eager {
-				g = max(g, x.a, post[x.to])
+				g = max(g, post[x.to])
 			}
 		}
 		w := done[i]
 		for _, x := range own {
-			var fin, recv sim.Time
 			if x.eager {
-				fin, recv = x.a, max(x.b, post[x.to])+x.oRecv
+				done[x.to] = max(done[x.to], max(x.x, post[x.to])+x.oRecv)
 			} else {
-				fin = g + x.b
-				recv = fin + x.oRecv
+				fin := g + x.x
+				w = max(w, fin)
+				done[x.to] = max(done[x.to], fin+x.oRecv)
 			}
-			w = max(w, fin)
-			done[x.to] = max(done[x.to], recv)
 		}
 		done[i] = w
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/wave"
 	"repro/internal/workload"
 )
 
@@ -37,6 +39,7 @@ type lockCase struct {
 	name  string
 	cfg   mpisim.Config
 	progs []mpisim.Program
+	limit int // the network's eager limit
 	// noise builds a fresh injector: the built-in ones keep per-rank
 	// stream state, so every run needs its own.
 	noise func() mpisim.NoiseFunc
@@ -159,6 +162,7 @@ func randomLockCase(t *testing.T, r *rand.Rand) lockCase {
 		name:  fmt.Sprintf("%s_%s_%s_%d", name, netName, proto, steps),
 		cfg:   mpisim.Config{Ranks: n, Net: net},
 		progs: loop.Programs(),
+		limit: limit,
 	}
 	// Two variants leave the bulk-synchronous pattern: tags that rise
 	// unevenly, and two messages a pair and direction per epoch, one of
@@ -313,33 +317,216 @@ func diffWaits(got, want [][]waitRec) string {
 // TestLockstepMatchesEngine is the solver's oracle: randomized lockstep
 // scenarios, computed by Run (which must take the solver) and by the
 // event engine, must agree bit for bit on segments, step ends, End,
-// Events and every rank's OnWait stream.
+// Events and every rank's OnWait stream. A second series moves the
+// boundaries of the solver's schedule runs (restepped, resized, steadied)
+// and piles up its side list of delays (delayed).
 func TestLockstepMatchesEngine(t *testing.T) {
-	cases := 300
+	cases, boundaryCases := 300, 160
 	if testing.Short() {
-		cases = 40
+		cases, boundaryCases = 40, 40
 	}
 	r := rand.New(rand.NewSource(27))
 	for i := 0; i < cases; i++ {
 		c := randomLockCase(t, r)
-		t.Run(fmt.Sprintf("%03d_%s", i, c.name), func(t *testing.T) {
-			dec, err := mpisim.PlanShards(c.cfg, c.progs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !dec.Lockstep || dec.EngineReason != "" {
-				t.Fatalf("lockstep scenario takes the engine: %q", dec.EngineReason)
-			}
-			got, gotWaits := runStreamed(t, c, mpisim.Run)
-			want, wantWaits := runStreamed(t, c, mpisim.RunEngine)
-			if d := diffResults(got, want); d != "" {
-				t.Fatalf("solver diverges from the engine: %s", d)
-			}
-			if d := diffWaits(gotWaits, wantWaits); d != "" {
-				t.Fatalf("OnWait streams diverge: %s", d)
-			}
-		})
+		t.Run(fmt.Sprintf("%03d_%s", i, c.name), func(t *testing.T) { checkLockCase(t, c) })
 	}
+	r = rand.New(rand.NewSource(29))
+	for i := 0; i < boundaryCases; i++ {
+		c := randomLockCase(t, r)
+		switch i % 4 {
+		case 0:
+			c.progs = restepped(c.progs, r)
+			c.name += "_restep"
+		case 1:
+			c.progs = resized(c.progs, c.limit, r.Int63())
+			c.name += "_resize"
+		case 2:
+			c.progs = steadied(c.progs, r)
+			c.name += "_steady"
+		case 3:
+			c.progs = delayed(c.progs, r)
+			c.name += "_delayed"
+		}
+		t.Run(fmt.Sprintf("boundary%03d_%s", i, c.name), func(t *testing.T) { checkLockCase(t, c) })
+	}
+}
+
+// checkLockCase runs one scenario through the solver and the engine.
+func checkLockCase(t *testing.T, c lockCase) {
+	t.Helper()
+	dec, err := mpisim.PlanShards(c.cfg, c.progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Lockstep || dec.EngineReason != "" {
+		t.Fatalf("lockstep scenario takes the engine: %q", dec.EngineReason)
+	}
+	got, gotWaits := runStreamed(t, c, mpisim.Run)
+	want, wantWaits := runStreamed(t, c, mpisim.RunEngine)
+	if d := diffResults(got, want); d != "" {
+		t.Fatalf("solver diverges from the engine: %s", d)
+	}
+	if d := diffWaits(gotWaits, wantWaits); d != "" {
+		t.Fatalf("OnWait streams diverge: %s", d)
+	}
+}
+
+// epochs splits a program at its Waitalls: epoch e is ops[e], its
+// Waitall last.
+func epochs(p mpisim.Program) [][]mpisim.Op {
+	var out [][]mpisim.Op
+	start := 0
+	for k, op := range p {
+		if _, ok := op.(mpisim.Waitall); ok {
+			out = append(out, slices.Clone(p[start:k+1]))
+			start = k + 1
+		}
+	}
+	return out
+}
+
+// restepped moves each rank's Compute, Delay and Waitall Steps off the
+// epoch index and changes the offsets at a random epoch: before it the
+// Compute and Delay Steps sit c0 and d0 above the index and the Waitall
+// on it, from it on they sit c1 and d1 above and the Waitall one below,
+// so that epoch's Waitall repeats the previous step.
+func restepped(progs []mpisim.Program, r *rand.Rand) []mpisim.Program {
+	out := make([]mpisim.Program, len(progs))
+	for i, p := range progs {
+		eps := epochs(p)
+		change := 1 + r.Intn(len(eps))
+		c0, d0 := r.Intn(3), r.Intn(3)
+		c1, d1 := c0+1+r.Intn(3), d0+2+r.Intn(3)
+		q := make(mpisim.Program, 0, len(p))
+		for e, ops := range eps {
+			c, d, w := e+c0, e+d0, e
+			if e >= change {
+				c, d, w = e+c1, e+d1, e-1
+			}
+			for _, op := range ops {
+				switch op := op.(type) {
+				case mpisim.Compute:
+					op.Step = c
+					q = append(q, op)
+				case mpisim.Delay:
+					op.Step = d
+					q = append(q, op)
+				case mpisim.Waitall:
+					op.Step = w
+					q = append(q, op)
+				default:
+					q = append(q, op)
+				}
+			}
+		}
+		out[i] = q
+	}
+	return out
+}
+
+// resized changes the size of every message a sender sends in an epoch
+// that a hash of (seed, sender, epoch) picks, to the other side of the
+// eager limit, in its Isends and the matching Irecvs alike.
+func resized(progs []mpisim.Program, limit int, seed int64) []mpisim.Program {
+	size := func(from, epoch, bytes int) int {
+		h := uint64(seed) ^ uint64(from)*0x9e3779b97f4a7c15 ^ uint64(epoch)*0xc2b2ae3d27d4eb4f
+		h ^= h >> 29
+		h *= 0xbf58476d1ce4e5b9
+		if (h>>32)%3 != 0 {
+			return bytes
+		}
+		if bytes <= limit {
+			return 2*limit + epoch
+		}
+		return limit/4 + epoch
+	}
+	out := make([]mpisim.Program, len(progs))
+	for i, p := range progs {
+		q := make(mpisim.Program, len(p))
+		epoch := 0
+		for k, op := range p {
+			switch op := op.(type) {
+			case mpisim.Isend:
+				op.Bytes = size(i, epoch, op.Bytes)
+				q[k] = op
+			case mpisim.Irecv:
+				op.Bytes = size(op.From, epoch, op.Bytes)
+				q[k] = op
+			case mpisim.Waitall:
+				epoch++
+				q[k] = op
+			default:
+				q[k] = op
+			}
+		}
+		out[i] = q
+	}
+	return out
+}
+
+// steadied gives two ranks in three a Compute duration that stays
+// constant for a random number of epochs (all of them, now and then)
+// and varies as before after that.
+func steadied(progs []mpisim.Program, r *rand.Rand) []mpisim.Program {
+	out := make([]mpisim.Program, len(progs))
+	for i, p := range progs {
+		q := slices.Clone(p)
+		if r.Intn(3) > 0 {
+			steady, epoch := 1+r.Intn(len(epochs(p))), 0
+			var dur sim.Time
+			for k, op := range q {
+				switch op := op.(type) {
+				case mpisim.Compute:
+					if epoch == 0 {
+						dur = op.Duration
+					} else if epoch < steady {
+						op.Duration = dur
+						q[k] = op
+					}
+				case mpisim.Waitall:
+					epoch++
+				}
+			}
+		}
+		out[i] = q
+	}
+	return out
+}
+
+// delayed splits every Delay in two and puts extra Delays on the first
+// and last epochs of two adjacent ranks: two on the first epoch of rank
+// a and three on the last epoch of rank a+1.
+func delayed(progs []mpisim.Program, r *rand.Rand) []mpisim.Program {
+	out := make([]mpisim.Program, len(progs))
+	a := r.Intn(len(progs) - 1)
+	for i, p := range progs {
+		eps := epochs(p)
+		q := make(mpisim.Program, 0, len(p)+8)
+		for e, ops := range eps {
+			extra := 0
+			switch {
+			case i == a && e == 0:
+				extra = 2
+			case i == a+1 && e == len(eps)-1:
+				extra = 3
+			}
+			for x := 0; x < extra; x++ {
+				q = append(q, mpisim.Delay{Duration: sim.Micro(50 + 100*r.Float64()), Step: e})
+			}
+			for _, op := range ops {
+				if d, ok := op.(mpisim.Delay); ok {
+					head := d
+					head.Duration = d.Duration * 0.375
+					d.Duration -= head.Duration
+					q = append(q, head, d)
+					continue
+				}
+				q = append(q, op)
+			}
+		}
+		out[i] = q
+	}
+	return out
 }
 
 // TestLockstepNoiseOrder pins the NoiseFunc contract the solver relies
@@ -762,5 +949,113 @@ func TestLockstepAllocBudget(t *testing.T) {
 	t.Logf("%.4f allocations per rank", perRank)
 	if perRank > maxLockstepAllocsPerRank {
 		t.Errorf("Run allocates %.4f objects per rank, budget %g", perRank, maxLockstepAllocsPerRank)
+	}
+}
+
+// runBytes returns the bytes one Run of the programs allocates, the
+// median of five runs after a warm-up.
+func runBytes(t *testing.T, cfg mpisim.Config, progs []mpisim.Program) float64 {
+	t.Helper()
+	var got []float64
+	var before, after runtime.MemStats
+	for i := 0; i < 6; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := mpisim.Run(cfg, progs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			got = append(got, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+	}
+	slices.Sort(got)
+	return got[len(got)/2]
+}
+
+// Bytes a solver Run allocates, schedule included: per rank of a
+// bulk-synchronous chain, whose ranks all share one run and one Isend
+// list, and per rank-step of a GenWorkload, whose durations take a
+// column of 8 bytes per rank-step and whose delays sit in the side list.
+// Measured 108 and 25.3. A schedule whose ranks stopped sharing runs
+// would take about 148 and 28.6, one whose column slab doubled past its
+// rows about 33 per rank-step.
+const (
+	maxLockstepBytesPerRank     = 128
+	maxLockstepBytesPerRankStep = 28
+)
+
+// TestLockstepScheduleBytes gates what Run allocates, the lockstep
+// schedule included, on a 2,000-rank chain and a 2,000-rank GenWorkload
+// of 12 steps each.
+func TestLockstepScheduleBytes(t *testing.T) {
+	const ranks, steps = 2000, 12
+	net, err := netmodel.NewHockney(sim.Micro(2), 3e9, 1<<17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mpisim.Config{Ranks: ranks, Net: net, Trace: mpisim.TraceOff}
+	chain, err := topology.NewChain(ranks, 1, topology.Bidirectional, topology.Open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk, err := workload.BulkSync{Topo: chain, Steps: steps, Texec: sim.Milli(3), Bytes: 8192,
+		Injections: []noise.Injection{{Rank: ranks / 2, Step: 2, Duration: sim.Milli(15)}}}.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := genload.GenWorkload{Ranks: ranks, Steps: steps, Phase: genload.Gamma{Shape: 2, Scale: sim.Milli(3) / 2},
+		Bytes: 8192, Delay: genload.Exp{MeanTime: sim.Micro(500)}, Every: genload.Exp{MeanTime: sim.Milli(20)}, Seed: 1}.Programs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, progs := range [][]mpisim.Program{bulk, gen} {
+		if dec, err := mpisim.PlanShards(cfg, progs); err != nil || !dec.Lockstep {
+			t.Fatalf("workload does not take the solver: %+v, %v", dec, err)
+		}
+	}
+	perRank := runBytes(t, cfg, bulk) / ranks
+	perRankStep := runBytes(t, cfg, gen) / (ranks * steps)
+	t.Logf("chain: %.1f B per rank; GenWorkload: %.1f B per rank-step", perRank, perRankStep)
+	if perRank > maxLockstepBytesPerRank {
+		t.Errorf("Run of the chain allocates %.1f B per rank, budget %d", perRank, maxLockstepBytesPerRank)
+	}
+	if perRankStep > maxLockstepBytesPerRankStep {
+		t.Errorf("Run of the GenWorkload allocates %.1f B per rank-step, budget %d", perRankStep, maxLockstepBytesPerRankStep)
+	}
+}
+
+// BenchmarkRunLockstepChain times solver Runs of a 12-step
+// bulk-synchronous open chain with one delay, trace off and a streaming
+// front tracker on OnWait, and reports the cost per rank-step: at 10^5
+// ranks a rank's state no longer fits in cache, at 2,000 it does.
+func BenchmarkRunLockstepChain(b *testing.B) {
+	for _, ranks := range []int{2_000, 100_000} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			const steps = 12
+			chain, err := topology.NewChain(ranks, 1, topology.Bidirectional, topology.Open)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wl := workload.BulkSync{Topo: chain, Steps: steps, Texec: sim.Milli(3), Bytes: 8192,
+				Injections: []noise.Injection{{Rank: ranks / 2, Step: 2, Duration: sim.Milli(15)}}}
+			progs, err := wl.Programs()
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := netmodel.NewHockney(sim.Micro(2), 3e9, 1<<17)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tracker := wave.NewFrontTracker(chain, ranks/2, wl.Texec/2)
+				cfg := mpisim.Config{Ranks: ranks, Net: net, Trace: mpisim.TraceOff, OnWait: tracker.Observe}
+				if _, err := mpisim.Run(cfg, progs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks*steps), "ns/rank-step")
+		})
 	}
 }

@@ -71,6 +71,19 @@
 // non-negative, finite costs, or the solver panics. PlanShards reports the
 // decision (ShardDecision.Lockstep and EngineReason).
 //
+// The solver does not read the programs. Validation's walk, which reads
+// every op in rank order anyway, compiles an eligible run into a schedule
+// without pointers, and only Run asks for it (PlanShards does not). Per
+// rank it holds runs of epochs with the same Isends and the same Compute
+// and Waitall Step offsets from the epoch index, each with its Compute
+// duration or, once that varies, a column of per-epoch durations laid
+// out step-major; the Isends as (receiver - sender, bytes); and the
+// Delays in a side list. Irecvs are not kept. Equal Isend lists and equal
+// runs are shared, so every interior rank of a bulk-synchronous chain or
+// torus reads the same run: the schedule then costs 8 bytes per rank
+// (its cursor) and 24 per Delay, plus 8 per rank and step when durations
+// vary.
+//
 // The solver's output is the engine's, byte for byte: the same trace
 // segments per rank in the engine's order (delays, exec, noise, one
 // overhead per send, then the wait), the same StepEnd and End, and
@@ -669,12 +682,12 @@ func assembleResult(cfg Config, parts []*simulation, end sim.Time, events uint64
 // loop otherwise. Every path gives a result byte-identical to the serial
 // engine's.
 func Run(cfg Config, programs []Program) (*Result, error) {
-	shapes, reason, err := validate(cfg, programs, false)
+	shapes, sched, reason, err := validate(cfg, programs, compileLockstep)
 	if err != nil {
 		return nil, err
 	}
 	if reason == "" {
-		return runLockstep(cfg, programs, shapes), nil
+		return runLockstep(cfg, shapes, sched), nil
 	}
 	return runEngine(cfg, programs, shapes)
 }
@@ -696,56 +709,67 @@ func runSerial(cfg Config, programs []Program, shapes []rankShape) (*Result, err
 	return assembleResult(cfg, []*simulation{s}, end, s.engine.Executed())
 }
 
+// validateMode says what validate does besides checking the run.
+type validateMode int
+
+const (
+	checkLockstep   validateMode = iota // decide whether the lockstep solver can compute the run
+	compileLockstep                     // decide, and compile the solver's schedule
+	engineOnly                          // skip the decision: the engine was requested
+)
+
 // validate checks the configuration and programs and, in the same walk
 // over every op, measures each rank's shape. Rank by rank it also
 // decides whether the lockstep solver can compute the run: it returns
-// why not, or "". With engineOnly it skips that decision and says the
-// engine was requested.
-func validate(cfg Config, programs []Program, engineOnly bool) (shapes []rankShape, lockReason string, err error) {
+// why not, or "". With compileLockstep the walk also compiles the
+// schedule the solver reads, returned when the solver can run; with
+// engineOnly it skips the decision and says the engine was requested.
+func validate(cfg Config, programs []Program, mode validateMode) (shapes []rankShape, sched *lockSchedule, lockReason string, err error) {
 	if cfg.Ranks <= 0 {
-		return nil, "", fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
+		return nil, nil, "", fmt.Errorf("mpisim: need positive rank count, got %d", cfg.Ranks)
 	}
 	if cfg.Net == nil {
-		return nil, "", fmt.Errorf("mpisim: nil network model")
+		return nil, nil, "", fmt.Errorf("mpisim: nil network model")
 	}
 	if len(programs) != cfg.Ranks {
-		return nil, "", fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
+		return nil, nil, "", fmt.Errorf("mpisim: %d programs for %d ranks", len(programs), cfg.Ranks)
 	}
 	if cfg.EagerMaxOutstanding < 0 {
-		return nil, "", fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
+		return nil, nil, "", fmt.Errorf("mpisim: negative eager buffer bound %d", cfg.EagerMaxOutstanding)
 	}
 	if !(cfg.CoreBandwidth >= 0) {
-		return nil, "", fmt.Errorf("mpisim: negative or NaN core bandwidth %g", cfg.CoreBandwidth)
+		return nil, nil, "", fmt.Errorf("mpisim: negative or NaN core bandwidth %g", cfg.CoreBandwidth)
 	}
 	if cfg.Trace < TraceFull || cfg.Trace > TraceOff {
-		return nil, "", fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
+		return nil, nil, "", fmt.Errorf("mpisim: unknown trace mode %d", int(cfg.Trace))
 	}
 	if cfg.Shards < 0 {
-		return nil, "", fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
+		return nil, nil, "", fmt.Errorf("mpisim: negative shard count %d", cfg.Shards)
 	}
 	if cfg.NoiseFactory != nil && cfg.Noise == nil {
-		return nil, "", fmt.Errorf("mpisim: NoiseFactory set without Noise")
+		return nil, nil, "", fmt.Errorf("mpisim: NoiseFactory set without Noise")
 	}
 	var computeSegs int32 = 1
 	if cfg.Noise != nil {
 		computeSegs = 2
 	}
 	lockReason = lockstepConfigReason(cfg)
-	if engineOnly {
+	if mode == engineOnly {
 		lockReason = "event engine requested"
 	}
 	var pairs *pairCheck // nil once the run is off the solver
 	var ep []epochMsg
 	if lockReason == "" {
-		pairs = newPairCheck(cfg.Ranks)
+		pairs = newPairCheck(cfg.Ranks, mode == compileLockstep)
 	}
 	shapes = make([]rankShape, cfg.Ranks)
 	needMem := false
 	for rnk, p := range programs {
 		sh := &shapes[rnk]
 		var reqs, recvs, sends int32 // of the current epoch
-		// lk steps the lockstep epoch shape (shapeNext), and ep collects
-		// the epoch's messages for the pairing check.
+		// lk steps the lockstep epoch shape (shapeNext), and ep and cp
+		// collect the epoch's messages and Compute for the pairing check.
+		var cp Compute
 		lk := shapeIdle
 		if pairs == nil {
 			lk = shapeOff
@@ -755,29 +779,29 @@ func validate(cfg Config, programs []Program, engineOnly bool) (shapes []rankSha
 			switch op := op.(type) {
 			case Isend:
 				if op.To < 0 || op.To >= cfg.Ranks {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d sends to invalid rank %d", rnk, pc, op.To)
 				}
 				if op.To == rnk {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d sends to itself", rnk, pc)
 				}
 				if op.Bytes < 0 {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
 				}
 				reqs++
 				sends++
 				sh.segments++
 				if lk = shapeNext[lk&3][kindIsend]; lk != shapeOff {
-					ep = append(ep, epochMsg{tag: op.Tag, peer: int32(op.To)})
+					ep = append(ep, epochMsg{tag: op.Tag, bytes: op.Bytes, peer: int32(op.To)})
 				}
 			case Irecv:
 				if op.From < 0 || op.From >= cfg.Ranks {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d receives from invalid rank %d", rnk, pc, op.From)
 				}
 				if op.From == rnk {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d receives from itself", rnk, pc)
 				}
 				if op.Bytes < 0 {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d negative message size", rnk, pc)
 				}
 				reqs++
 				recvs++
@@ -786,25 +810,28 @@ func validate(cfg Config, programs []Program, engineOnly bool) (shapes []rankSha
 				}
 			case Compute:
 				if !sim.NonNegative(op.Duration) || !sim.NonNegative(op.MemBytes) {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite compute", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite compute", rnk, pc)
 				}
 				lk = shapeNext[lk&3][kindCompute]
 				if op.MemBytes > 0 {
 					needMem, lk = true, shapeOff
 				}
+				cp = op
 				sh.segments += computeSegs
 			case Delay:
 				if !sim.NonNegative(op.Duration) {
-					return nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite delay", rnk, pc)
+					return nil, nil, "", fmt.Errorf("mpisim: rank %d op %d negative or non-finite delay", rnk, pc)
 				}
 				sh.segments++
-				lk = shapeNext[lk&3][kindDelay]
+				if lk = shapeNext[lk&3][kindDelay]; lk != shapeOff && pairs.sched != nil {
+					pairs.sched.addDelay(rnk, sh.steps, op)
+				}
 			case Waitall:
 				sh.window = max(sh.window, reqs)
 				sh.recvs = max(sh.recvs, recvs)
 				sh.sends = max(sh.sends, sends)
 				reqs, recvs, sends = 0, 0, 0
-				if lk = shapeNext[lk&3][kindWaitall]; lk != shapeOff && !pairs.endEpoch(ep, sh.steps) {
+				if lk = shapeNext[lk&3][kindWaitall]; lk != shapeOff && !pairs.endEpoch(rnk, ep, sh.steps, cp, op.Step) {
 					lk = shapeOff
 				}
 				ep = ep[:0]
@@ -828,13 +855,16 @@ func validate(cfg Config, programs []Program, engineOnly bool) (shapes []rankSha
 	}
 	if needMem {
 		if cfg.SocketOf == nil {
-			return nil, "", fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
+			return nil, nil, "", fmt.Errorf("mpisim: memory-bound compute requires SocketOf")
 		}
 		if !(cfg.SocketBandwidth > 0) {
-			return nil, "", fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
+			return nil, nil, "", fmt.Errorf("mpisim: memory-bound compute requires positive SocketBandwidth")
 		}
 	}
-	return shapes, lockReason, nil
+	if pairs != nil {
+		sched = pairs.sched
+	}
+	return shapes, sched, lockReason, nil
 }
 
 // socket returns the rank group's bandwidth resource, materializing it

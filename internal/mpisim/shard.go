@@ -110,7 +110,7 @@ type ShardDecision struct {
 // PlanShards validates the configuration and reports the execution plan
 // Run would use for it.
 func PlanShards(cfg Config, programs []Program) (ShardDecision, error) {
-	_, reason, err := validate(cfg, programs, false)
+	_, _, reason, err := validate(cfg, programs, checkLockstep)
 	if err != nil {
 		return ShardDecision{}, err
 	}

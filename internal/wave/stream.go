@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // FrontTracker tracks an idle-wave front incrementally from a stream of
@@ -139,17 +138,4 @@ func (t *FrontTracker) Front() Front {
 		return f.Samples[i].Rank < f.Samples[j].Rank
 	})
 	return f
-}
-
-// ObserveSet replays a recorded trace set into the tracker, for
-// consumers that have a buffered trace but want tracker-based analytics;
-// segments are fed per rank in recorded order.
-func (t *FrontTracker) ObserveSet(set trace.Set) {
-	for _, rt := range set.Ranks {
-		for _, seg := range rt.Segments {
-			if seg.Kind == trace.Wait {
-				t.Observe(rt.Rank, seg.Step, seg.Start, seg.End)
-			}
-		}
-	}
 }
