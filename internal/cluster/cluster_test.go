@@ -65,8 +65,8 @@ func TestPlacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sockets() != 10 || p.Nodes() != 5 {
-		t.Errorf("placement sockets/nodes = %d/%d, want 10/5", p.Sockets(), p.Nodes())
+	if p.Socket(99) != 9 || p.Nodes() != 5 {
+		t.Errorf("placement last socket/nodes = %d/%d, want 9/5", p.Socket(99), p.Nodes())
 	}
 	sp, err := m.SpreadPlacement(9, 1)
 	if err != nil {

@@ -125,19 +125,6 @@ func Run(id string, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// RunAll executes every experiment in canonical order.
-func RunAll(opts Options) ([]*Report, error) {
-	var out []*Report
-	for _, id := range Experiments() {
-		rep, err := Run(id, opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // ---- shared helpers ----
 
 // bulkRun builds any workload's programs through the Workload interface

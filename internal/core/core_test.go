@@ -243,16 +243,3 @@ func TestEq2SweepAccuracy(t *testing.T) {
 		}
 	}
 }
-
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll covered by individual tests")
-	}
-	reps, err := RunAll(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(Experiments()) {
-		t.Errorf("RunAll returned %d reports", len(reps))
-	}
-}

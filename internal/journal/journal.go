@@ -207,6 +207,7 @@ type Journal struct {
 	seq  int
 	opts Options
 	path string
+	sync func() error // f.Sync; every fsync goes through it, so a test can count them
 }
 
 // Open creates dir if needed, opens (or creates) its log file, replays
@@ -224,7 +225,7 @@ func Open(dir string, opts Options) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{f: f, opts: opts, path: path}
+	j := &Journal{f: f, opts: opts, path: path, sync: f.Sync}
 	recs, err := j.replay()
 	if err != nil {
 		f.Close()
@@ -246,7 +247,7 @@ func (j *Journal) replay() ([]Record, error) {
 		if _, err := j.f.WriteAt([]byte(magic), 0); err != nil {
 			return nil, fmt.Errorf("journal: writing magic: %w", err)
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 		j.off = int64(len(magic))
@@ -299,7 +300,7 @@ func (j *Journal) replay() ([]Record, error) {
 		if err := j.f.Truncate(off); err != nil {
 			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", j.path, err)
 		}
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
@@ -340,7 +341,7 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.off += int64(len(buf))
 	if rec.Kind != KindPoint || j.opts.SyncPoints {
-		if err := j.f.Sync(); err != nil {
+		if err := j.sync(); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
 	}
@@ -351,7 +352,7 @@ func (j *Journal) Append(rec Record) error {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.f.Sync(); err != nil {
+	if err := j.sync(); err != nil {
 		j.f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}

@@ -243,6 +243,43 @@ func TestJournalBadMagic(t *testing.T) {
 // TestJournalWriteError: an injected append failure surfaces as an
 // error but never tears the log — subsequent appends and replays see a
 // consistent file missing only the failed record.
+// TestJournalSyncCount pins what a job costs in fsyncs, which is the
+// journal's overhead on a sweep: by default a job of n points syncs
+// twice, once for its submit and once for its terminal record, and
+// SyncPoints adds one sync per point row.
+func TestJournalSyncCount(t *testing.T) {
+	for _, n := range []int{0, 1, 16} {
+		for _, syncPoints := range []bool{false, true} {
+			j, _, err := Open(t.TempDir(), Options{SyncPoints: syncPoints})
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncs := 0
+			j.sync = func() error { syncs++; return j.f.Sync() }
+			recs := []Record{{Kind: KindSubmit, Job: "j000001", Total: n}}
+			for i := 0; i < n; i++ {
+				recs = append(recs, Record{Kind: KindPoint, Job: "j000001", Index: i, Values: []float64{float64(i)}})
+			}
+			recs = append(recs, Record{Kind: KindDone, Job: "j000001"})
+			for _, r := range recs {
+				if err := j.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := 2
+			if syncPoints {
+				want = n + 2
+			}
+			if syncs != want {
+				t.Errorf("%d points, SyncPoints=%v: %d fsyncs, want %d", n, syncPoints, syncs, want)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestJournalWriteError(t *testing.T) {
 	dir := t.TempDir()
 	fail := errors.New("injected: disk on fire")

@@ -87,12 +87,6 @@ func (s *Socket) recycle(p *Phase) {
 	s.free = append(s.free, p)
 }
 
-// NewSocket creates a socket resource with the given aggregate memory
-// bandwidth in bytes per second.
-func NewSocket(engine *sim.Engine, bandwidth float64) (*Socket, error) {
-	return NewSocketCapped(engine, bandwidth, 0)
-}
-
 // NewSocketCapped creates a socket whose individual phases are
 // additionally limited to perPhaseCap bytes per second (0 = unlimited).
 // The cap models the fact that a single core cannot saturate the socket's
@@ -123,9 +117,6 @@ func (s *Socket) rate(k int) float64 {
 	}
 	return r
 }
-
-// Active returns the number of phases currently sharing the socket.
-func (s *Socket) Active() int { return len(s.active) }
 
 // socketComplete adapts Socket.complete to the engine's typed-callback
 // form, so rescheduling does not allocate a method-value closure.
@@ -265,15 +256,6 @@ func (s *Socket) complete() {
 
 // Done reports whether the phase has completed.
 func (p *Phase) Done() bool { return p.done }
-
-// SoloTime returns how long a phase moving the given volume would take
-// with the socket to itself — the lower bound used by analytic models.
-func (s *Socket) SoloTime(bytes float64) sim.Time {
-	if bytes <= 0 {
-		return 0
-	}
-	return sim.Time(bytes / s.bandwidth)
-}
 
 // Bandwidth returns the socket's aggregate bandwidth in bytes per second.
 func (s *Socket) Bandwidth() float64 { return s.bandwidth }

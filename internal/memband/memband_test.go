@@ -8,13 +8,16 @@ import (
 	"repro/internal/sim"
 )
 
+// runFunc runs a func() passed as ScheduleCall's argument.
+func runFunc(fn any) { fn.(func())() }
+
 func approx(a, b sim.Time, tol float64) bool {
 	return math.Abs(float64(a-b)) <= tol
 }
 
 func TestSoloPhaseRunsAtFullBandwidth(t *testing.T) {
 	var e sim.Engine
-	s, err := NewSocket(&e, 100) // 100 B/s
+	s, err := NewSocketCapped(&e, 100, 0) // 100 B/s
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestSoloPhaseRunsAtFullBandwidth(t *testing.T) {
 
 func TestTwoConcurrentPhasesShareBandwidth(t *testing.T) {
 	var e sim.Engine
-	s, _ := NewSocket(&e, 100)
+	s, _ := NewSocketCapped(&e, 100, 0)
 	var d1, d2 sim.Time = -1, -1
 	s.Start(50, func() { d1 = e.Now() })
 	s.Start(50, func() { d2 = e.Now() })
@@ -41,12 +44,12 @@ func TestTwoConcurrentPhasesShareBandwidth(t *testing.T) {
 
 func TestStaggeredPhases(t *testing.T) {
 	var e sim.Engine
-	s, _ := NewSocket(&e, 100)
+	s, _ := NewSocketCapped(&e, 100, 0)
 	var d1, d2 sim.Time = -1, -1
 	// Phase A: 100 bytes from t=0.
 	s.Start(100, func() { d1 = e.Now() })
 	// Phase B: 100 bytes from t=0.5.
-	e.Schedule(0.5, func() { s.Start(100, func() { d2 = e.Now() }) })
+	e.ScheduleCall(0.5, runFunc, func() { s.Start(100, func() { d2 = e.Now() }) })
 	e.Run()
 	// A runs solo 0..0.5 (50 B done), then shares: remaining 50 B at
 	// 50 B/s -> finishes at 1.5. B then runs solo: at t=1.5 B has done
@@ -67,10 +70,10 @@ func TestDesyncSpeedsUpIndividualPhase(t *testing.T) {
 	// though total socket throughput is conserved.
 	phaseDuration := func(offset sim.Time) sim.Time {
 		var e sim.Engine
-		s, _ := NewSocket(&e, 100)
+		s, _ := NewSocketCapped(&e, 100, 0)
 		var end sim.Time = -1
 		s.Start(100, func() { end = e.Now() })
-		e.Schedule(offset, func() { s.Start(100, func() {}) })
+		e.ScheduleCall(offset, runFunc, func() { s.Start(100, func() {}) })
 		e.Run()
 		return end
 	}
@@ -124,7 +127,7 @@ func TestNegativeCapRejected(t *testing.T) {
 
 func TestZeroVolumeCompletesImmediately(t *testing.T) {
 	var e sim.Engine
-	s, _ := NewSocket(&e, 10)
+	s, _ := NewSocketCapped(&e, 10, 0)
 	var done bool
 	p := s.Start(0, func() { done = true })
 	e.Run()
@@ -138,13 +141,13 @@ func TestZeroVolumeCompletesImmediately(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	var e sim.Engine
-	if _, err := NewSocket(nil, 10); err == nil {
+	if _, err := NewSocketCapped(nil, 10, 0); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := NewSocket(&e, 0); err == nil {
+	if _, err := NewSocketCapped(&e, 0, 0); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
-	s, _ := NewSocket(&e, 10)
+	s, _ := NewSocketCapped(&e, 10, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("nil onDone did not panic")
@@ -155,23 +158,23 @@ func TestValidation(t *testing.T) {
 
 func TestActiveCount(t *testing.T) {
 	var e sim.Engine
-	s, _ := NewSocket(&e, 100)
+	s, _ := NewSocketCapped(&e, 100, 0)
 	s.Start(100, func() {})
 	s.Start(200, func() {})
-	e.Schedule(0.1, func() {
-		if s.Active() != 2 {
-			t.Errorf("Active = %d during overlap, want 2", s.Active())
+	e.ScheduleCall(0.1, runFunc, func() {
+		if len(s.active) != 2 {
+			t.Errorf("Active = %d during overlap, want 2", len(s.active))
 		}
 	})
 	e.Run()
-	if s.Active() != 0 {
-		t.Errorf("Active = %d after drain, want 0", s.Active())
+	if len(s.active) != 0 {
+		t.Errorf("Active = %d after drain, want 0", len(s.active))
 	}
 }
 
 func TestCallbackCanStartNewPhase(t *testing.T) {
 	var e sim.Engine
-	s, _ := NewSocket(&e, 100)
+	s, _ := NewSocketCapped(&e, 100, 0)
 	var second sim.Time = -1
 	s.Start(100, func() {
 		s.Start(100, func() { second = e.Now() })
@@ -182,20 +185,6 @@ func TestCallbackCanStartNewPhase(t *testing.T) {
 	}
 }
 
-func TestSoloTime(t *testing.T) {
-	var e sim.Engine
-	s, _ := NewSocket(&e, 200)
-	if got := s.SoloTime(100); !approx(got, 0.5, 1e-12) {
-		t.Errorf("SoloTime = %v, want 0.5", got)
-	}
-	if got := s.SoloTime(0); got != 0 {
-		t.Errorf("SoloTime(0) = %v", got)
-	}
-	if s.Bandwidth() != 200 {
-		t.Errorf("Bandwidth = %g", s.Bandwidth())
-	}
-}
-
 // Property: total bytes moved is conserved — k identical concurrent phases
 // finish simultaneously at k * solo time.
 func TestEqualSharingProperty(t *testing.T) {
@@ -203,7 +192,7 @@ func TestEqualSharingProperty(t *testing.T) {
 		k := int(kRaw%8) + 1
 		vol := float64(volRaw%100) + 1
 		var e sim.Engine
-		s, err := NewSocket(&e, 50)
+		s, err := NewSocketCapped(&e, 50, 0)
 		if err != nil {
 			return false
 		}
@@ -237,7 +226,7 @@ func TestWorkConservationProperty(t *testing.T) {
 			return true
 		}
 		var e sim.Engine
-		s, err := NewSocket(&e, 10)
+		s, err := NewSocketCapped(&e, 10, 0)
 		if err != nil {
 			return false
 		}

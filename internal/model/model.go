@@ -4,8 +4,6 @@
 //     runtime model for the strong-scaling STREAM triad benchmark;
 //   - Eq. 2 — the silent-system idle-wave propagation speed (also exposed
 //     via internal/wave.SilentSpeed);
-//   - Eq. 3 — the exponential probability density of injected fine-grained
-//     noise;
 //   - a minimal Roofline model for node-level execution phases.
 //
 // These functions are the "red lines" plotted against simulation results
@@ -14,7 +12,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sim"
 )
@@ -107,24 +104,6 @@ func PaperTriad() StrongScaling {
 	}
 }
 
-// NoisePDF is Eq. 3: the probability density of the injected exponential
-// noise at relative delay x = T_delay/T_exec, with lambda = 1/E.
-func NoisePDF(x, e float64) float64 {
-	if e <= 0 || x < 0 {
-		return 0
-	}
-	lambda := 1 / e
-	return lambda * math.Exp(-lambda*x)
-}
-
-// NoiseCDF is the matching cumulative distribution.
-func NoiseCDF(x, e float64) float64 {
-	if e <= 0 || x <= 0 {
-		return 0
-	}
-	return 1 - math.Exp(-x/e)
-}
-
 // Roofline is the classic two-bound node performance model.
 type Roofline struct {
 	PeakFlops    float64 // flop/s per socket
@@ -142,15 +121,6 @@ func (r Roofline) Performance(intensity float64) float64 {
 		return mem
 	}
 	return r.PeakFlops
-}
-
-// MachineBalance returns the intensity at which the model transitions
-// from memory- to compute-bound.
-func (r Roofline) MachineBalance() float64 {
-	if r.MemBandwidth == 0 {
-		return 0
-	}
-	return r.PeakFlops / r.MemBandwidth
 }
 
 // DividePhase models the paper's Fig. 3 compute-bound workload: a long

@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -589,11 +590,11 @@ func TestDeterminism(t *testing.T) {
 	}
 	dump := func() []byte {
 		res := runRing(t, rs, largeMsg, GatedRendezvous)
-		var buf bytes.Buffer
-		if err := res.Traces.WriteJSON(&buf); err != nil {
+		data, err := json.Marshal(res.Traces)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	a, b := dump(), dump()
 	if !bytes.Equal(a, b) {

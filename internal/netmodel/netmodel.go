@@ -246,12 +246,6 @@ func FormatRate(bw float64) string {
 
 func fmtMantissa(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
 
-// PingPong estimates the model's half round-trip time for a message size,
-// a convenience for calibration tables and tests.
-func PingPong(m Model, from, to, bytes int) sim.Time {
-	return m.SendOverhead(from, to, bytes) + m.Transfer(from, to, bytes) + m.RecvOverhead(from, to, bytes)
-}
-
 // Interface checks.
 var (
 	_ Model = (*Hockney)(nil)

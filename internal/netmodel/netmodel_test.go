@@ -140,9 +140,15 @@ func TestHierarchicalValidation(t *testing.T) {
 	}
 }
 
+// pingPong is a model's half round-trip time for a message: both
+// overheads plus the transfer.
+func pingPong(m Model, from, to, bytes int) sim.Time {
+	return m.SendOverhead(from, to, bytes) + m.Transfer(from, to, bytes) + m.RecvOverhead(from, to, bytes)
+}
+
 func TestPingPong(t *testing.T) {
 	m, _ := NewLogGOPS(sim.Micro(1), sim.Micro(2), sim.Micro(3), 0, 0, 0)
-	if got := PingPong(m, 0, 1, 0); got != sim.Micro(6) {
+	if got := pingPong(m, 0, 1, 0); got != sim.Micro(6) {
 		t.Errorf("PingPong = %v, want 6us", got)
 	}
 }
@@ -228,7 +234,7 @@ func TestPingPongMonotoneInBytesProperty(t *testing.T) {
 		}
 		from, to := int(fromRaw)%40, int(toRaw)%40
 		for _, m := range []Model{hock, lgp, hier} {
-			if PingPong(m, from, to, a) > PingPong(m, from, to, b) {
+			if pingPong(m, from, to, a) > pingPong(m, from, to, b) {
 				return false
 			}
 		}
@@ -247,7 +253,7 @@ func TestHierarchicalPickSymmetryProperty(t *testing.T) {
 	f := func(aRaw, bRaw uint8, bytesRaw uint32) bool {
 		a, b := int(aRaw)%40, int(bRaw)%40
 		n := int(bytesRaw % (1 << 20))
-		return PingPong(hier, a, b, n) == PingPong(hier, b, a, n) &&
+		return pingPong(hier, a, b, n) == pingPong(hier, b, a, n) &&
 			hier.Transfer(a, b, n) == hier.Transfer(b, a, n) &&
 			hier.ProtocolFor(a, b, n) == hier.ProtocolFor(b, a, n)
 	}

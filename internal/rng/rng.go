@@ -10,14 +10,13 @@
 package rng
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
 // Rand is a deterministic source of pseudo-random numbers based on the
 // xoshiro256++ algorithm by Blackman and Vigna. The zero value is not valid;
-// use New or NewFromState.
+// use New.
 type Rand struct {
 	s [4]uint64
 }
@@ -41,15 +40,6 @@ func New(seed uint64) *Rand {
 		r.s[0] = 1
 	}
 	return r
-}
-
-// NewFromState restores a generator from a previously captured state.
-// It returns an error if the state is all zeros, which is invalid.
-func NewFromState(state [4]uint64) (*Rand, error) {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		return nil, errors.New("rng: all-zero state is invalid")
-	}
-	return &Rand{s: state}, nil
 }
 
 // State returns the current internal state.
@@ -196,19 +186,6 @@ func (r *Rand) SampleMixture(components []Mixture) float64 {
 		}
 	}
 	panic("unreachable")
-}
-
-// Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle pseudo-randomly reorders the elements of a slice through the

@@ -8,8 +8,6 @@ import (
 
 func nopCall(any) {}
 
-func nopClosure() {}
-
 // TestScheduleCallAllocFree pins the engine's steady-state allocation
 // budget at zero: with a warm free list, scheduling and executing an
 // event through the typed-callback form must not touch the heap, whether
@@ -35,28 +33,6 @@ func TestScheduleCallAllocFree(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("ScheduleCall+Run allocates %.1f objects per run, want 0", avg)
-	}
-}
-
-// TestScheduleAllocFree pins the closure form at zero steady-state
-// allocations too, when the closure itself captures nothing (the event
-// object comes from the pool; a capturing closure would add exactly its
-// own allocation at the call site).
-func TestScheduleAllocFree(t *testing.T) {
-	var e Engine
-	for i := 0; i < 64; i++ {
-		e.Schedule(e.Now()+Time(i), nopClosure)
-	}
-	e.Run()
-
-	avg := testing.AllocsPerRun(200, func() {
-		for i := 0; i < 8; i++ {
-			e.Schedule(e.Now()+Time(i), nopClosure)
-		}
-		e.Run()
-	})
-	if avg > 0 {
-		t.Errorf("Schedule+Run allocates %.1f objects per run, want 0", avg)
 	}
 }
 

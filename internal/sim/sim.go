@@ -34,11 +34,9 @@
 //
 // The engine is the innermost loop of every simulation, so it recycles
 // Event objects on a per-engine free list: in steady state, scheduling
-// and executing an event performs no heap allocation. The typed-callback
-// form ScheduleCall(at, fn, arg) passes a pointer-shaped argument to a
-// plain function, which lets hot callers avoid allocating a capture
-// closure per event; Schedule(at, func()) remains as a thin wrapper for
-// call sites where a closure is idiomatic and cold.
+// and executing an event performs no heap allocation. ScheduleCall(at,
+// fn, arg) passes a pointer-shaped argument to a plain function, so no
+// caller allocates a capture closure per event.
 package sim
 
 import (
@@ -85,7 +83,7 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 
 // Event is a scheduled action, owned by the engine's free list.
 //
-// An *Event returned by Schedule/ScheduleCall is valid for Cancel until
+// An *Event returned by ScheduleCall is valid for Cancel until
 // the event executes. Once it has run, the engine recycles the object
 // for a later scheduling call, so handles must not be retained past the
 // event's execution time (cancelling a stale handle could cancel an
@@ -94,9 +92,9 @@ func (t Time) Millis() float64 { return float64(t) * 1e3 }
 // handle when the event fires, which is the natural shape anyway.
 type Event struct {
 	at     Time
-	callFn func(any) // callClosure for the closure form (Schedule)
-	arg    any       // the func() itself for the closure form
-	next   *Event    // the rest of this event's run
+	callFn func(any)
+	arg    any
+	next   *Event // the rest of this event's run
 	dead   bool
 }
 
@@ -111,15 +109,8 @@ type entry struct {
 // arity is the heap's fan-out.
 const arity = 4
 
-// Cancelled reports whether the event has been cancelled.
-func (e *Event) Cancelled() bool { return e.dead }
-
 // run invokes the event's action.
 func (e *Event) run() { e.callFn(e.arg) }
-
-// callClosure is the typed callback behind Schedule's closure form: a
-// func value is pointer-shaped, so storing it in arg allocates nothing.
-func callClosure(fn any) { fn.(func())() }
 
 // Engine owns the virtual clock, the pending-event heap, the same-time
 // lane and the event free list. The zero value is ready to use.
@@ -165,24 +156,11 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// Schedule registers fn to run at virtual time at. Scheduling an event in
-// the past (before Now) panics: it would mean causality violation in the
-// simulation logic, which is always a programming error worth failing
-// loudly for.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if fn == nil {
-		panic("sim: scheduling nil event function")
-	}
-	ev := e.schedule(at)
-	ev.callFn, ev.arg = callClosure, fn
-	return ev
-}
-
-// ScheduleCall registers fn(arg) to run at virtual time at. It is the
-// allocation-free form of Schedule: with a pooled Event, a package-level
-// fn and a pointer-shaped arg, scheduling performs no heap allocation,
-// where a capturing closure passed to Schedule would allocate once per
-// event. The same past-time rule as Schedule applies.
+// ScheduleCall registers fn(arg) to run at virtual time at. With a
+// pooled Event, a package-level fn and a pointer-shaped arg, scheduling
+// performs no heap allocation. Scheduling an event in the past (before
+// Now) panics: it would mean causality violation in the simulation
+// logic, which is always a programming error worth failing loudly for.
 func (e *Engine) ScheduleCall(at Time, fn func(any), arg any) *Event {
 	if fn == nil {
 		panic("sim: scheduling nil event function")
@@ -218,16 +196,7 @@ func (e *Engine) schedule(at Time) *Event {
 	return ev
 }
 
-// After schedules fn to run delay after the current time.
-func (e *Engine) After(delay Time, fn func()) *Event {
-	if !(delay >= 0) {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	return e.Schedule(e.now+delay, fn)
-}
-
-// AfterCall schedules fn(arg) to run delay after the current time — the
-// typed-callback counterpart of After.
+// AfterCall schedules fn(arg) to run delay after the current time.
 func (e *Engine) AfterCall(delay Time, fn func(any), arg any) *Event {
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))

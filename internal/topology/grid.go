@@ -96,9 +96,6 @@ func (g Grid) Ranks() int {
 	return n
 }
 
-// Dims returns the grid's dimensionality.
-func (g Grid) Dims() int { return len(g.Extents) }
-
 // Coords maps a rank to its per-dimension coordinates (row-major, last
 // dimension fastest).
 func (g Grid) Coords(i int) []int { return g.coords(make([]int, len(g.Extents)), i) }

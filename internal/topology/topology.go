@@ -317,44 +317,16 @@ func (p Placement) Node(rank int) int {
 	return rank / (p.CoresPerSocket * p.SocketsPerNode)
 }
 
-// Core returns the core index of a rank within its socket.
-func (p Placement) Core(rank int) int {
-	p.check(rank)
-	return rank % p.CoresPerSocket
-}
-
 // SameSocket reports whether two ranks share a socket.
 func (p Placement) SameSocket(a, b int) bool { return p.Socket(a) == p.Socket(b) }
 
 // SameNode reports whether two ranks share a node.
 func (p Placement) SameNode(a, b int) bool { return p.Node(a) == p.Node(b) }
 
-// Sockets returns the number of (partially) occupied sockets.
-func (p Placement) Sockets() int {
-	return (p.Ranks + p.CoresPerSocket - 1) / p.CoresPerSocket
-}
-
 // Nodes returns the number of (partially) occupied nodes.
 func (p Placement) Nodes() int {
 	perNode := p.CoresPerSocket * p.SocketsPerNode
 	return (p.Ranks + perNode - 1) / perNode
-}
-
-// RanksOnSocket returns the ranks placed on global socket s, in order.
-func (p Placement) RanksOnSocket(s int) []int {
-	lo := s * p.CoresPerSocket
-	hi := lo + p.CoresPerSocket
-	if hi > p.Ranks {
-		hi = p.Ranks
-	}
-	if lo >= p.Ranks {
-		return nil
-	}
-	out := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		out = append(out, r)
-	}
-	return out
 }
 
 func (p Placement) check(rank int) {

@@ -163,17 +163,14 @@ func TestPlacementMapping(t *testing.T) {
 	if p.Node(0) != 0 || p.Node(19) != 0 || p.Node(20) != 1 || p.Node(99) != 4 {
 		t.Error("node mapping wrong")
 	}
-	if p.Core(13) != 3 {
-		t.Errorf("Core(13) = %d, want 3", p.Core(13))
-	}
 	if !p.SameSocket(3, 7) || p.SameSocket(9, 10) {
 		t.Error("SameSocket wrong")
 	}
 	if !p.SameNode(9, 10) || p.SameNode(19, 20) {
 		t.Error("SameNode wrong")
 	}
-	if p.Sockets() != 10 || p.Nodes() != 5 {
-		t.Errorf("Sockets/Nodes = %d/%d, want 10/5", p.Sockets(), p.Nodes())
+	if p.Nodes() != 5 {
+		t.Errorf("Nodes = %d, want 5", p.Nodes())
 	}
 }
 
@@ -182,18 +179,11 @@ func TestPlacementPartialSocket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sockets() != 2 {
-		t.Errorf("Sockets = %d, want 2", p.Sockets())
+	if p.Socket(14) != 1 {
+		t.Errorf("Socket(14) = %d, want 1", p.Socket(14))
 	}
 	if p.Nodes() != 1 {
 		t.Errorf("Nodes = %d, want 1", p.Nodes())
-	}
-	ranks := p.RanksOnSocket(1)
-	if len(ranks) != 5 || ranks[0] != 10 || ranks[4] != 14 {
-		t.Errorf("RanksOnSocket(1) = %v", ranks)
-	}
-	if got := p.RanksOnSocket(5); got != nil {
-		t.Errorf("empty socket returned %v", got)
 	}
 }
 

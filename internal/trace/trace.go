@@ -8,7 +8,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/sim"
@@ -147,17 +146,6 @@ func (t RankTrace) TotalBy(kind Kind) sim.Time {
 	return sum
 }
 
-// WaitInStep returns the total Wait time the rank spent in step k.
-func (t RankTrace) WaitInStep(step int) sim.Time {
-	var sum sim.Time
-	for _, s := range t.Segments {
-		if s.Step == step && s.Kind == Wait {
-			sum += s.Duration()
-		}
-	}
-	return sum
-}
-
 // End returns the rank's last recorded activity end time.
 func (t RankTrace) End() sim.Time {
 	var end sim.Time
@@ -236,20 +224,4 @@ func (s Set) StepEndMatrix() [][]sim.Time {
 		m[i] = append([]sim.Time(nil), r.StepEnd[:steps]...)
 	}
 	return m
-}
-
-// WriteJSON serializes the set.
-func (s Set) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadJSON deserializes a set written by WriteJSON.
-func ReadJSON(r io.Reader) (Set, error) {
-	var s Set
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Set{}, fmt.Errorf("trace: decoding set: %w", err)
-	}
-	return s, nil
 }

@@ -22,39 +22,6 @@ import (
 	"repro/internal/trace"
 )
 
-// IdlePeriod is one contiguous waiting interval long enough to count as
-// part of an idle wave (as opposed to regular communication time).
-type IdlePeriod struct {
-	Rank     int
-	Step     int
-	Start    sim.Time
-	Duration sim.Time
-}
-
-// IdlePeriods extracts all wait segments longer than threshold.
-func IdlePeriods(set trace.Set, threshold sim.Time) []IdlePeriod {
-	var out []IdlePeriod
-	for _, rt := range set.Ranks {
-		for _, seg := range rt.Segments {
-			if seg.Kind == trace.Wait && seg.Duration() > threshold {
-				out = append(out, IdlePeriod{
-					Rank:     rt.Rank,
-					Step:     seg.Step,
-					Start:    seg.Start,
-					Duration: seg.Duration(),
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Rank < out[j].Rank
-	})
-	return out
-}
-
 // FrontSample is the wave front's first arrival at one rank.
 type FrontSample struct {
 	Rank      int
@@ -408,23 +375,6 @@ func Sigma(bidirectional, rendezvous bool) int {
 		return 2
 	}
 	return 1
-}
-
-// AmplitudeProfile returns the wave amplitude (idle duration) by hop
-// distance, averaging ranks at equal distance (the +/- directions of a
-// bidirectional wave).
-func AmplitudeProfile(f Front) map[int]sim.Time {
-	sums := make(map[int]sim.Time)
-	counts := make(map[int]int)
-	for _, s := range f.Samples {
-		sums[s.Hops] += s.Amplitude
-		counts[s.Hops]++
-	}
-	out := make(map[int]sim.Time, len(sums))
-	for h, sum := range sums {
-		out[h] = sum / sim.Time(counts[h])
-	}
-	return out
 }
 
 // RelativeError returns |measured-predicted|/predicted, a helper for

@@ -50,23 +50,6 @@ func ring(n int) topology.Chain {
 	return topology.Chain{N: n, D: 1, Dir: topology.Bidirectional, Bound: topology.Periodic}
 }
 
-func TestIdlePeriodsThresholdAndOrder(t *testing.T) {
-	set := synthWave(8, 2, 8, period, func(h int) sim.Time { return sim.Milli(10) })
-	ps := IdlePeriods(set, sim.Milli(1))
-	if len(ps) != 7 {
-		t.Fatalf("got %d idle periods, want 7 (all ranks but source)", len(ps))
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Start < ps[i-1].Start {
-			t.Error("idle periods not sorted by start")
-		}
-	}
-	// A huge threshold filters everything.
-	if got := IdlePeriods(set, sim.Milli(100)); len(got) != 0 {
-		t.Errorf("threshold filter failed: %d", len(got))
-	}
-}
-
 func TestTrackFrontHopsAndAmplitude(t *testing.T) {
 	set := synthWave(9, 4, 9, period, func(h int) sim.Time { return sim.Milli(10) })
 	f := TrackFront(set, openChain(9), 4, sim.Milli(1))
@@ -282,15 +265,6 @@ func TestSilentSpeedAndSigma(t *testing.T) {
 	v := SilentSpeed(2, 3, sim.Milli(2), sim.Milli(1))
 	if math.Abs(v-2000) > 1e-9 {
 		t.Errorf("SilentSpeed = %g, want 2000 ranks/s", v)
-	}
-}
-
-func TestAmplitudeProfileAveragesDirections(t *testing.T) {
-	set := synthWave(9, 4, 9, period, func(h int) sim.Time { return sim.Time(h) * sim.Milli(1) })
-	f := TrackFront(set, openChain(9), 4, sim.Micro(1))
-	prof := AmplitudeProfile(f)
-	if prof[2] != sim.Milli(2) {
-		t.Errorf("profile[2] = %v, want 2ms", prof[2])
 	}
 }
 
