@@ -240,9 +240,6 @@ func TestJournalBadMagic(t *testing.T) {
 	}
 }
 
-// TestJournalWriteError: an injected append failure surfaces as an
-// error but never tears the log — subsequent appends and replays see a
-// consistent file missing only the failed record.
 // TestJournalSyncCount pins what a job costs in fsyncs, which is the
 // journal's overhead on a sweep: by default a job of n points syncs
 // twice, once for its submit and once for its terminal record, and
@@ -280,6 +277,9 @@ func TestJournalSyncCount(t *testing.T) {
 	}
 }
 
+// TestJournalWriteError: an injected append failure surfaces as an
+// error but never tears the log — subsequent appends and replays see a
+// consistent file missing only the failed record.
 func TestJournalWriteError(t *testing.T) {
 	dir := t.TempDir()
 	fail := errors.New("injected: disk on fire")

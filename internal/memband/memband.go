@@ -256,6 +256,3 @@ func (s *Socket) complete() {
 
 // Done reports whether the phase has completed.
 func (p *Phase) Done() bool { return p.done }
-
-// Bandwidth returns the socket's aggregate bandwidth in bytes per second.
-func (s *Socket) Bandwidth() float64 { return s.bandwidth }
